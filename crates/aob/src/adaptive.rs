@@ -39,10 +39,12 @@ use crate::storage::{
 };
 use crate::{Aob, ChunkStore, GateOp, InternStats};
 
+/// Probe and decision counters. The file's gate count is the coprocessor's
+/// `qat.backend.adaptive.gates`; the exact per-file count is
+/// [`AdaptiveStats::gates`].
 mod telem {
     use tangled_telemetry::Counter;
 
-    pub static GATES: Counter = Counter::new("qat.backend.adaptive.gates");
     pub static PROBED: Counter = Counter::new("qat.backend.adaptive.probed_gates");
     pub static PROBE_HITS: Counter = Counter::new("qat.backend.adaptive.probe_hits");
     pub static PROMOTIONS: Counter = Counter::new("qat.backend.adaptive.promotions");
@@ -67,10 +69,6 @@ const REPROBE_HOLDOFF: u64 = 4096;
 /// phases run at plain-eager speed with zero profiling overhead; a real
 /// hot loop merely promotes a few windows later.
 const PROBE_WARMUP: u64 = 512;
-/// Gates batched per process-wide telemetry flush (the exact per-file
-/// counts live in [`AdaptiveStats`]; the global counters may lag by up to
-/// one batch).
-const TELEM_FLUSH: u64 = 128;
 /// Demotions after which the file pins eager for good.
 const MAX_DEMOTIONS: u64 = 2;
 /// Slots in the shadow probe's direct-mapped seen-fingerprint table. A
@@ -139,8 +137,6 @@ pub struct AdaptiveFile {
     dwell: u32,
     /// Intern counters at the start of the current interned window.
     window_base: InternStats,
-    /// Gates counted since the last process-wide telemetry flush.
-    unflushed_gates: u64,
     stats: AdaptiveStats,
     /// Warm snapshot to promote into, when one is registered.
     warm: Option<crate::WarmStoreId>,
@@ -174,7 +170,6 @@ impl AdaptiveFile {
             cold_windows: 0,
             dwell: 0,
             window_base: InternStats::default(),
-            unflushed_gates: 0,
             stats: AdaptiveStats::default(),
             warm,
         }
@@ -198,7 +193,6 @@ impl AdaptiveFile {
             cold_windows: 0,
             dwell: 0,
             window_base: InternStats::default(),
-            unflushed_gates: 0,
             stats: AdaptiveStats::default(),
             warm: None,
         }
@@ -295,11 +289,6 @@ impl AdaptiveFile {
     /// window state machine. Called before the action is delegated.
     fn observe(&mut self, act: GateAction) {
         self.stats.gates += 1;
-        self.unflushed_gates += 1;
-        if self.unflushed_gates >= TELEM_FLUSH {
-            telem::GATES.add(self.unflushed_gates);
-            self.unflushed_gates = 0;
-        }
         if self.pinned {
             return;
         }
@@ -437,34 +426,9 @@ impl AobStorage for AdaptiveFile {
         self.inner.set(r, v);
     }
 
-    fn write_const(&mut self, r: usize, kind: ConstKind, meter: bool) -> WriteDelta {
-        self.observe(GateAction::Const(r as u8, kind));
-        self.inner.write_const(r, kind, meter)
-    }
-
-    fn gate_not(&mut self, r: usize, meter: bool) -> WriteDelta {
-        self.observe(GateAction::Not(r as u8));
-        self.inner.gate_not(r, meter)
-    }
-
-    fn gate_bin(&mut self, op: GateOp, a: usize, b: usize, c: usize, meter: bool) -> WriteDelta {
-        self.observe(GateAction::Bin(op, a as u8, b as u8, c as u8));
-        self.inner.gate_bin(op, a, b, c, meter)
-    }
-
-    fn gate_ccnot(&mut self, a: usize, b: usize, c: usize, meter: bool) -> WriteDelta {
-        self.observe(GateAction::Ccnot(a as u8, b as u8, c as u8));
-        self.inner.gate_ccnot(a, b, c, meter)
-    }
-
-    fn gate_swap(&mut self, a: usize, b: usize, meter: bool) -> WriteDelta {
-        self.observe(GateAction::Swap(a as u8, b as u8));
-        self.inner.gate_swap(a, b, meter)
-    }
-
-    fn gate_cswap(&mut self, a: usize, b: usize, c: usize, meter: bool) -> WriteDelta {
-        self.observe(GateAction::Cswap(a as u8, b as u8, c as u8));
-        self.inner.gate_cswap(a, b, c, meter)
+    fn apply_action(&mut self, act: GateAction, meter: bool) -> WriteDelta {
+        self.observe(act);
+        self.inner.apply_action(act, meter)
     }
 
     fn gate_run(&mut self, actions: &[GateAction], meter: bool) -> WriteDelta {
@@ -472,7 +436,6 @@ impl AobStorage for AdaptiveFile {
         if self.pinned {
             // Pure delegation: account for the whole run in one step.
             self.stats.gates += n;
-            telem::GATES.add(n);
             return self.inner.gate_run(actions, meter);
         }
         if !self.promoted {
@@ -482,11 +445,6 @@ impl AobStorage for AdaptiveFile {
                     // the counters and skip the per-gate observe loop.
                     self.probe = Probe::Holdoff(h + n);
                     self.stats.gates += n;
-                    self.unflushed_gates += n;
-                    if self.unflushed_gates >= TELEM_FLUSH {
-                        telem::GATES.add(self.unflushed_gates);
-                        self.unflushed_gates = 0;
-                    }
                     return self.inner.gate_run(actions, meter);
                 }
             }
@@ -551,11 +509,11 @@ mod tests {
     /// A hot two-register loop: the same xor/and pair over the same
     /// values, which an op cache answers from the second iteration on.
     fn hot_loop(f: &mut dyn AobStorage, iters: usize) {
-        f.write_const(10, ConstKind::Hadamard(1), false);
-        f.write_const(11, ConstKind::Hadamard(3), false);
+        f.apply_action(GateAction::Const(10, ConstKind::Hadamard(1)), false);
+        f.apply_action(GateAction::Const(11, ConstKind::Hadamard(3)), false);
         for _ in 0..iters {
-            f.gate_bin(GateOp::Xor, 12, 10, 11, false);
-            f.gate_bin(GateOp::And, 13, 10, 11, false);
+            f.apply_action(GateAction::Bin(GateOp::Xor, 12, 10, 11), false);
+            f.apply_action(GateAction::Bin(GateOp::And, 13, 10, 11), false);
         }
     }
 
@@ -575,11 +533,11 @@ mod tests {
         let mut f = AdaptiveFile::new(8, false);
         // A not/swap-free chain that never repeats an operand pair: each
         // xor feeds the next, so fingerprints are all fresh.
-        f.write_const(1, ConstKind::Ones, false);
-        f.write_const(2, ConstKind::Hadamard(2), false);
+        f.apply_action(GateAction::Const(1, ConstKind::Ones), false);
+        f.apply_action(GateAction::Const(2, ConstKind::Hadamard(2)), false);
         for _ in 0..2000 {
-            f.gate_bin(GateOp::Xor, 1, 1, 2, false);
-            f.gate_ccnot(2, 1, 2, false);
+            f.apply_action(GateAction::Bin(GateOp::Xor, 1, 1, 2), false);
+            f.apply_action(GateAction::Ccnot(2, 1, 2), false);
         }
         assert!(!f.is_promoted());
         let st = f.adaptive_stats().unwrap();

@@ -21,8 +21,9 @@
 //!
 //! The vectors are stored packed, 64 channels per `u64` word, and all gate
 //! operations are word-parallel — this is the software rendering of the
-//! paper's "bit-level, massively-parallel, SIMD hardware". A multithreaded
-//! path for very large vectors lives in [`parallel`].
+//! paper's "bit-level, massively-parallel, SIMD hardware". There is no
+//! multithreaded path: at 4 Mbit a scalar pass already beats splitting the
+//! words across threads (EXPERIMENTS.md).
 //!
 //! ## Example
 //!
@@ -48,7 +49,6 @@ pub mod gates;
 pub mod hadamard;
 pub mod intern;
 pub mod measure;
-pub mod parallel;
 pub mod storage;
 pub mod warm;
 
@@ -58,7 +58,6 @@ pub use energy::{EnergyMeter, EnergyModel};
 pub use entropy::EntropyReport;
 pub use intern::{ChunkId, ChunkStore, GateOp, InternStats, ID_ONE, ID_ZERO};
 pub use warm::WarmStoreId;
-pub use parallel::ParallelError;
 pub use storage::{
     AdaptiveStats, AobStorage, ConstKind, EagerFile, GateAction, InternedFile, PackedStats,
     StorageBackend, WaysError, WriteDelta, HW_MAX_WAYS,

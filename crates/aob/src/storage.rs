@@ -16,8 +16,10 @@
 //!   registers are run-length-compressed `Re` symbols; gates rewrite runs,
 //!   so structured states at `ways > 16` never materialize.
 //!
-//! Gate methods take register *indices* and mutate in place; the
-//! measurement family ([`AobStorage::meas`] / [`AobStorage::next`] /
+//! Every gate enters a backend as a reified [`GateAction`] — one at a time
+//! through [`AobStorage::apply_action`], or a straight-line run through
+//! [`AobStorage::gate_run`] — naming register *indices* and mutating in
+//! place; the measurement family ([`AobStorage::meas`] / [`AobStorage::next`] /
 //! [`AobStorage::pop_after`]) answers without materializing, which is what
 //! lets the compressed backend scale. [`AobStorage::read`] is the
 //! architectural escape hatch: it materializes an explicit [`Aob`] and is
@@ -191,17 +193,17 @@ impl WriteDelta {
 /// registers — so an action is a compact, hashable fusion-cache key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GateAction {
-    /// `zero` / `one` / `had @r`.
+    /// `zero` / `one` / `had @r`: write a constant into `r`.
     Const(u8, ConstKind),
-    /// `not @r`.
+    /// `not @r`: complement in place.
     Not(u8),
-    /// `and`/`or`/`xor @a,@b,@c`.
+    /// `and`/`or`/`xor @a,@b,@c`: `a = b op c`.
     Bin(GateOp, u8, u8, u8),
-    /// `ccnot @a,@b,@c`.
+    /// `ccnot @a,@b,@c`: `a ^= b & c`.
     Ccnot(u8, u8, u8),
     /// `swap @a,@b`.
     Swap(u8, u8),
-    /// `cswap @a,@b,@c`.
+    /// `cswap @a,@b,@c`: exchange `a`/`b` in the channels where `c` is set.
     Cswap(u8, u8, u8),
 }
 
@@ -247,7 +249,7 @@ pub struct AdaptiveStats {
 
 /// A Qat register file: [`REG_COUNT`] AoB values in some representation.
 ///
-/// Gate methods mirror Table 3 semantics exactly, including register
+/// Gates mirror Table 3 semantics exactly, including register
 /// aliasing (`and @2,@2,@3`, `cswap @5,@5,@1`, ...): operands are read
 /// before any destination is written.
 pub trait AobStorage: std::fmt::Debug + Send {
@@ -267,41 +269,10 @@ pub trait AobStorage: std::fmt::Debug + Send {
     /// Directly set register `r` (test/loader backdoor).
     fn set(&mut self, r: usize, v: &Aob);
 
-    /// `zero` / `one` / `had`: write a constant into `r`.
-    fn write_const(&mut self, r: usize, kind: ConstKind, meter: bool) -> WriteDelta;
-
-    /// `not @r`: complement in place.
-    fn gate_not(&mut self, r: usize, meter: bool) -> WriteDelta;
-
-    /// `and`/`or`/`xor @a,@b,@c`: `a = b op c`.
-    fn gate_bin(&mut self, op: GateOp, a: usize, b: usize, c: usize, meter: bool) -> WriteDelta;
-
-    /// `ccnot @a,@b,@c`: `a ^= b & c`.
-    fn gate_ccnot(&mut self, a: usize, b: usize, c: usize, meter: bool) -> WriteDelta;
-
-    /// `swap @a,@b`.
-    fn gate_swap(&mut self, a: usize, b: usize, meter: bool) -> WriteDelta;
-
-    /// `cswap @a,@b,@c`: exchange `a`/`b` in the channels where `c` is set.
-    fn gate_cswap(&mut self, a: usize, b: usize, c: usize, meter: bool) -> WriteDelta;
-
-    /// Dispatch one reified [`GateAction`] to the matching gate method.
-    fn apply_action(&mut self, act: GateAction, meter: bool) -> WriteDelta {
-        match act {
-            GateAction::Const(r, k) => self.write_const(r as usize, k, meter),
-            GateAction::Not(r) => self.gate_not(r as usize, meter),
-            GateAction::Bin(op, a, b, c) => {
-                self.gate_bin(op, a as usize, b as usize, c as usize, meter)
-            }
-            GateAction::Ccnot(a, b, c) => {
-                self.gate_ccnot(a as usize, b as usize, c as usize, meter)
-            }
-            GateAction::Swap(a, b) => self.gate_swap(a as usize, b as usize, meter),
-            GateAction::Cswap(a, b, c) => {
-                self.gate_cswap(a as usize, b as usize, c as usize, meter)
-            }
-        }
-    }
+    /// Execute one Table-3 gate ([`GateAction`] documents each one's
+    /// semantics). With [`AobStorage::gate_run`], the only mutating gate
+    /// entry of the trait.
+    fn apply_action(&mut self, act: GateAction, meter: bool) -> WriteDelta;
 
     /// Execute a straight-line run of gates as one unit. The default is
     /// the per-gate loop (bit-for-bit identical to stepping), so every
@@ -618,93 +589,98 @@ impl AobStorage for EagerFile {
         self.regs[r] = v.clone();
     }
 
-    fn write_const(&mut self, r: usize, kind: ConstKind, meter: bool) -> WriteDelta {
-        let v = match kind {
-            ConstKind::Zeros => Aob::zeros(self.ways),
-            ConstKind::Ones => Aob::ones(self.ways),
-            ConstKind::Hadamard(k) => Aob::hadamard(self.ways, k),
-        };
-        self.commit(r, v, meter)
-    }
-
-    fn gate_not(&mut self, r: usize, meter: bool) -> WriteDelta {
-        if !meter {
-            self.regs[r].not_assign();
-            return WriteDelta::default();
-        }
-        let v = self.regs[r].not_of();
-        self.commit(r, v, meter)
-    }
-
-    fn gate_bin(&mut self, op: GateOp, a: usize, b: usize, c: usize, meter: bool) -> WriteDelta {
-        if !meter {
-            let (x, y) = (self.regs[b].words(), self.regs[c].words());
-            match op {
-                GateOp::And => crate::gates::zip2_into(&mut self.scratch, x, y, |p, q| p & q),
-                GateOp::Or => crate::gates::zip2_into(&mut self.scratch, x, y, |p, q| p | q),
-                GateOp::Xor => crate::gates::zip2_into(&mut self.scratch, x, y, |p, q| p ^ q),
+    fn apply_action(&mut self, act: GateAction, meter: bool) -> WriteDelta {
+        match act {
+            GateAction::Const(r, kind) => {
+                let v = match kind {
+                    ConstKind::Zeros => Aob::zeros(self.ways),
+                    ConstKind::Ones => Aob::ones(self.ways),
+                    ConstKind::Hadamard(k) => Aob::hadamard(self.ways, k),
+                };
+                self.commit(r as usize, v, meter)
             }
-            std::mem::swap(self.regs[a].words_vec_mut(), &mut self.scratch);
-            return WriteDelta::default();
-        }
-        let (x, y) = (&self.regs[b], &self.regs[c]);
-        let v = match op {
-            GateOp::And => Aob::and_of(x, y),
-            GateOp::Or => Aob::or_of(x, y),
-            GateOp::Xor => Aob::xor_of(x, y),
-        };
-        self.commit(a, v, meter)
-    }
-
-    fn gate_ccnot(&mut self, a: usize, b: usize, c: usize, meter: bool) -> WriteDelta {
-        if !meter {
-            crate::gates::zip3_into(
-                &mut self.scratch,
-                self.regs[a].words(),
-                self.regs[b].words(),
-                self.regs[c].words(),
-                |x, y, z| x ^ (y & z),
-            );
-            std::mem::swap(self.regs[a].words_vec_mut(), &mut self.scratch);
-            return WriteDelta::default();
-        }
-        let mut v = self.regs[a].clone();
-        v.ccnot_assign(&self.regs[b], &self.regs[c]);
-        self.commit(a, v, meter)
-    }
-
-    fn gate_swap(&mut self, a: usize, b: usize, meter: bool) -> WriteDelta {
-        let mut d = WriteDelta::default();
-        if meter {
-            d.merge(meter_delta(&self.regs[a], &self.regs[b]));
-            d.merge(meter_delta(&self.regs[b], &self.regs[a]));
-        }
-        self.regs.swap(a, b);
-        d
-    }
-
-    fn gate_cswap(&mut self, a: usize, b: usize, c: usize, meter: bool) -> WriteDelta {
-        if !meter {
-            if a == b {
-                // Swapping a register with itself in any channel subset is
-                // the identity.
-                return WriteDelta::default();
+            GateAction::Not(r) => {
+                let r = r as usize;
+                if !meter {
+                    self.regs[r].not_assign();
+                    return WriteDelta::default();
+                }
+                let v = self.regs[r].not_of();
+                self.commit(r, v, meter)
             }
-            let mux = |s: u64, t: u64, f: u64| (f & !s) | (t & s);
-            let (va, vb, vc) =
-                (self.regs[a].words(), self.regs[b].words(), self.regs[c].words());
-            crate::gates::zip3_into(&mut self.scratch, vc, vb, va, mux); // a' = mux(c, b, a)
-            crate::gates::zip3_into(&mut self.scratch2, vc, va, vb, mux); // b' = mux(c, a, b)
-            std::mem::swap(self.regs[a].words_vec_mut(), &mut self.scratch);
-            std::mem::swap(self.regs[b].words_vec_mut(), &mut self.scratch2);
-            return WriteDelta::default();
+            GateAction::Bin(op, a, b, c) => {
+                let (a, b, c) = (a as usize, b as usize, c as usize);
+                if !meter {
+                    let (x, y) = (self.regs[b].words(), self.regs[c].words());
+                    let s = &mut self.scratch;
+                    match op {
+                        GateOp::And => crate::gates::zip2_into(s, x, y, |p, q| p & q),
+                        GateOp::Or => crate::gates::zip2_into(s, x, y, |p, q| p | q),
+                        GateOp::Xor => crate::gates::zip2_into(s, x, y, |p, q| p ^ q),
+                    }
+                    std::mem::swap(self.regs[a].words_vec_mut(), &mut self.scratch);
+                    return WriteDelta::default();
+                }
+                let (x, y) = (&self.regs[b], &self.regs[c]);
+                let v = match op {
+                    GateOp::And => Aob::and_of(x, y),
+                    GateOp::Or => Aob::or_of(x, y),
+                    GateOp::Xor => Aob::xor_of(x, y),
+                };
+                self.commit(a, v, meter)
+            }
+            GateAction::Ccnot(a, b, c) => {
+                let (a, b, c) = (a as usize, b as usize, c as usize);
+                if !meter {
+                    crate::gates::zip3_into(
+                        &mut self.scratch,
+                        self.regs[a].words(),
+                        self.regs[b].words(),
+                        self.regs[c].words(),
+                        |x, y, z| x ^ (y & z),
+                    );
+                    std::mem::swap(self.regs[a].words_vec_mut(), &mut self.scratch);
+                    return WriteDelta::default();
+                }
+                let mut v = self.regs[a].clone();
+                v.ccnot_assign(&self.regs[b], &self.regs[c]);
+                self.commit(a, v, meter)
+            }
+            GateAction::Swap(a, b) => {
+                let (a, b) = (a as usize, b as usize);
+                let mut d = WriteDelta::default();
+                if meter {
+                    d.merge(meter_delta(&self.regs[a], &self.regs[b]));
+                    d.merge(meter_delta(&self.regs[b], &self.regs[a]));
+                }
+                self.regs.swap(a, b);
+                d
+            }
+            GateAction::Cswap(a, b, c) => {
+                let (a, b, c) = (a as usize, b as usize, c as usize);
+                if !meter {
+                    if a == b {
+                        // Swapping a register with itself in any channel
+                        // subset is the identity.
+                        return WriteDelta::default();
+                    }
+                    let mux = |s: u64, t: u64, f: u64| (f & !s) | (t & s);
+                    let (va, vb, vc) =
+                        (self.regs[a].words(), self.regs[b].words(), self.regs[c].words());
+                    crate::gates::zip3_into(&mut self.scratch, vc, vb, va, mux); // a' = mux(c, b, a)
+                    crate::gates::zip3_into(&mut self.scratch2, vc, va, vb, mux); // b' = mux(c, a, b)
+                    std::mem::swap(self.regs[a].words_vec_mut(), &mut self.scratch);
+                    std::mem::swap(self.regs[b].words_vec_mut(), &mut self.scratch2);
+                    return WriteDelta::default();
+                }
+                let mut va = self.regs[a].clone();
+                let mut vb = self.regs[b].clone();
+                Aob::cswap(&mut va, &mut vb, &self.regs[c]);
+                let mut d = self.commit(a, va, meter);
+                d.merge(self.commit(b, vb, meter));
+                d
+            }
         }
-        let mut va = self.regs[a].clone();
-        let mut vb = self.regs[b].clone();
-        Aob::cswap(&mut va, &mut vb, &self.regs[c]);
-        let mut d = self.commit(a, va, meter);
-        d.merge(self.commit(b, vb, meter));
-        d
     }
 
     fn gate_run(&mut self, actions: &[GateAction], meter: bool) -> WriteDelta {
@@ -853,47 +829,51 @@ impl AobStorage for InternedFile {
         self.ids[r] = self.store.intern(v.clone());
     }
 
-    fn write_const(&mut self, r: usize, kind: ConstKind, meter: bool) -> WriteDelta {
-        let id = match kind {
-            ConstKind::Zeros => ID_ZERO,
-            ConstKind::Ones => ID_ONE,
-            // H(k) for k >= ways is all-zeros (hadamard() contract).
-            ConstKind::Hadamard(k) if k < self.ways() => self.store.id_hadamard(k),
-            ConstKind::Hadamard(_) => ID_ZERO,
-        };
-        self.commit(r, id, meter)
-    }
-
-    fn gate_not(&mut self, r: usize, meter: bool) -> WriteDelta {
-        let id = self.store.not(self.ids[r]);
-        self.commit(r, id, meter)
-    }
-
-    fn gate_bin(&mut self, op: GateOp, a: usize, b: usize, c: usize, meter: bool) -> WriteDelta {
-        let id = self.store.binop(op, self.ids[b], self.ids[c]);
-        self.commit(a, id, meter)
-    }
-
-    fn gate_ccnot(&mut self, a: usize, b: usize, c: usize, meter: bool) -> WriteDelta {
-        let id = self.store.ccnot(self.ids[a], self.ids[b], self.ids[c]);
-        self.commit(a, id, meter)
-    }
-
-    fn gate_swap(&mut self, a: usize, b: usize, meter: bool) -> WriteDelta {
-        let (ia, ib) = (self.ids[a], self.ids[b]);
-        let mut d = self.commit(a, ib, meter);
-        d.merge(self.commit(b, ia, meter));
-        d
-    }
-
-    fn gate_cswap(&mut self, a: usize, b: usize, c: usize, meter: bool) -> WriteDelta {
-        let (ia, ib, ic) = (self.ids[a], self.ids[b], self.ids[c]);
-        // cswap = a pair of muxes on the original operands.
-        let na = self.store.mux(ic, ib, ia);
-        let nb = self.store.mux(ic, ia, ib);
-        let mut d = self.commit(a, na, meter);
-        d.merge(self.commit(b, nb, meter));
-        d
+    fn apply_action(&mut self, act: GateAction, meter: bool) -> WriteDelta {
+        match act {
+            GateAction::Const(r, kind) => {
+                let id = match kind {
+                    ConstKind::Zeros => ID_ZERO,
+                    ConstKind::Ones => ID_ONE,
+                    // H(k) for k >= ways is all-zeros (hadamard() contract).
+                    ConstKind::Hadamard(k) if k < self.ways() => self.store.id_hadamard(k),
+                    ConstKind::Hadamard(_) => ID_ZERO,
+                };
+                self.commit(r as usize, id, meter)
+            }
+            GateAction::Not(r) => {
+                let r = r as usize;
+                let id = self.store.not(self.ids[r]);
+                self.commit(r, id, meter)
+            }
+            GateAction::Bin(op, a, b, c) => {
+                let (a, b, c) = (a as usize, b as usize, c as usize);
+                let id = self.store.binop(op, self.ids[b], self.ids[c]);
+                self.commit(a, id, meter)
+            }
+            GateAction::Ccnot(a, b, c) => {
+                let (a, b, c) = (a as usize, b as usize, c as usize);
+                let id = self.store.ccnot(self.ids[a], self.ids[b], self.ids[c]);
+                self.commit(a, id, meter)
+            }
+            GateAction::Swap(a, b) => {
+                let (a, b) = (a as usize, b as usize);
+                let (ia, ib) = (self.ids[a], self.ids[b]);
+                let mut d = self.commit(a, ib, meter);
+                d.merge(self.commit(b, ia, meter));
+                d
+            }
+            GateAction::Cswap(a, b, c) => {
+                let (a, b, c) = (a as usize, b as usize, c as usize);
+                let (ia, ib, ic) = (self.ids[a], self.ids[b], self.ids[c]);
+                // cswap = a pair of muxes on the original operands.
+                let na = self.store.mux(ic, ib, ia);
+                let nb = self.store.mux(ic, ia, ib);
+                let mut d = self.commit(a, na, meter);
+                d.merge(self.commit(b, nb, meter));
+                d
+            }
+        }
     }
 
     fn meas(&self, r: usize, e: u64) -> bool {
@@ -1068,16 +1048,9 @@ mod tests {
     fn eager_and_interned_agree_on_gate_mix() {
         let [mut e, mut i] = files(8);
         for f in [&mut e, &mut i] {
-            f.write_const(0, ConstKind::Hadamard(1), false);
-            f.write_const(1, ConstKind::Hadamard(6), false);
-            f.write_const(2, ConstKind::Ones, false);
-            f.gate_bin(GateOp::And, 3, 0, 1, false);
-            f.gate_bin(GateOp::Xor, 4, 3, 2, false);
-            f.gate_ccnot(4, 0, 1, false);
-            f.gate_not(4, false);
-            f.gate_swap(3, 4, false);
-            f.gate_cswap(3, 4, 0, false);
-            f.gate_cswap(2, 2, 1, false); // aliased pair
+            for act in mix_actions() {
+                f.apply_action(act, false);
+            }
         }
         for r in 0..REG_COUNT {
             assert_eq!(e.read(r), i.read(r), "@{r}");
@@ -1089,13 +1062,13 @@ mod tests {
     fn metering_matches_across_backends() {
         let [mut e, mut i] = files(8);
         for f in [&mut e, &mut i] {
-            let d1 = f.write_const(0, ConstKind::Ones, true);
+            let d1 = f.apply_action(GateAction::Const(0, ConstKind::Ones), true);
             assert_eq!(d1, WriteDelta { toggles: 256, pop_delta: 256, writes: 1 });
-            let d2 = f.gate_not(0, true);
+            let d2 = f.apply_action(GateAction::Not(0), true);
             assert_eq!(d2, WriteDelta { toggles: 256, pop_delta: -256, writes: 1 });
             // Swap re-routes charge: per-register toggles, zero net delta.
-            f.write_const(1, ConstKind::Hadamard(0), true);
-            let d3 = f.gate_swap(0, 1, true);
+            f.apply_action(GateAction::Const(1, ConstKind::Hadamard(0)), true);
+            let d3 = f.apply_action(GateAction::Swap(0, 1), true);
             assert_eq!(d3.pop_delta, 0);
             assert_eq!(d3.writes, 2);
         }

@@ -121,14 +121,4 @@ proptest! {
         prop_assert_eq!(a.hamming(&a), 0);
         prop_assert!(a.hamming(&c) <= a.hamming(&b) + b.hamming(&c));
     }
-
-    #[test]
-    fn parallel_equals_sequential(a0 in aob(12), b in aob(12), threads in 1usize..8) {
-        let mut s = a0.clone();
-        s.xor_assign(&b);
-        let mut p = a0.clone();
-        p.par_xor_assign(&b, threads).unwrap();
-        prop_assert_eq!(s, p);
-        prop_assert_eq!(a0.pop_all(), a0.par_pop_all(threads).unwrap());
-    }
 }

@@ -1,8 +1,7 @@
 //! E-gates: throughput of the Qat ALU's word-parallel gate operations vs a
 //! per-bit "bit-serial" baseline, across entanglement degrees (paper §3:
 //! "bit-level, massively-parallel, SIMD" — the word-parallel software
-//! rendering should beat naive bit-at-a-time by ~64x, and the multithreaded
-//! path should win again for chunk-scale vectors).
+//! rendering should beat naive bit-at-a-time by ~64x).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pbp_aob::Aob;
@@ -40,7 +39,7 @@ fn bench_gates(c: &mut Criterion) {
     }
     g.finish();
 
-    // RE-symbol-scale vectors (2^22 bits): scalar vs multithreaded.
+    // RE-symbol-scale vectors (2^22 bits).
     let mut g = c.benchmark_group("gate_throughput_large");
     g.sample_size(20);
     let ways = 22u32;
@@ -53,15 +52,6 @@ fn bench_gates(c: &mut Criterion) {
             t
         })
     });
-    for threads in [2usize, 4, 8] {
-        g.bench_with_input(BenchmarkId::new("xor_threads", threads), &threads, |bch, &t| {
-            bch.iter(|| {
-                let mut x = a.clone();
-                x.par_xor_assign(black_box(&b), t).unwrap();
-                x
-            })
-        });
-    }
     g.finish();
 }
 

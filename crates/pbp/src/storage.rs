@@ -20,7 +20,9 @@
 
 use std::cell::Cell;
 
-use pbp_aob::storage::{AobStorage, ConstKind, PackedStats, StorageBackend, WriteDelta};
+use pbp_aob::storage::{
+    AobStorage, ConstKind, GateAction, PackedStats, StorageBackend, WriteDelta,
+};
 use pbp_aob::{Aob, ChunkStore, GateOp, InternStats, WaysError};
 use tangled_telemetry::Counter;
 
@@ -144,55 +146,59 @@ impl AobStorage for SparseReFile {
         self.regs[r] = self.ctx.from_aob(v);
     }
 
-    fn write_const(&mut self, r: usize, kind: ConstKind, meter: bool) -> WriteDelta {
-        let v = match kind {
-            ConstKind::Zeros => self.ctx.constant(false),
-            ConstKind::Ones => self.ctx.constant(true),
-            // hadamard() itself yields all-zeros for k >= ways.
-            ConstKind::Hadamard(k) => self.ctx.hadamard(k),
-        };
-        self.commit(r, v, meter)
-    }
-
-    fn gate_not(&mut self, r: usize, meter: bool) -> WriteDelta {
-        let v = self.ctx.not(&self.regs[r]);
-        self.commit(r, v, meter)
-    }
-
-    fn gate_bin(&mut self, op: GateOp, a: usize, b: usize, c: usize, meter: bool) -> WriteDelta {
-        let (x, y) = (&self.regs[b], &self.regs[c]);
-        let v = match op {
-            GateOp::And => self.ctx.and(x, y),
-            GateOp::Or => self.ctx.or(x, y),
-            GateOp::Xor => self.ctx.xor(x, y),
-        };
-        self.commit(a, v, meter)
-    }
-
-    fn gate_ccnot(&mut self, a: usize, b: usize, c: usize, meter: bool) -> WriteDelta {
-        let bc = self.ctx.and(&self.regs[b], &self.regs[c]);
-        let v = self.ctx.xor(&self.regs[a], &bc);
-        self.commit(a, v, meter)
-    }
-
-    fn gate_swap(&mut self, a: usize, b: usize, meter: bool) -> WriteDelta {
-        let mut d = WriteDelta::default();
-        if meter {
-            d.merge(self.delta(&self.regs[a], &self.regs[b], true));
-            d.merge(self.delta(&self.regs[b], &self.regs[a], true));
+    fn apply_action(&mut self, act: GateAction, meter: bool) -> WriteDelta {
+        match act {
+            GateAction::Const(r, kind) => {
+                let v = match kind {
+                    ConstKind::Zeros => self.ctx.constant(false),
+                    ConstKind::Ones => self.ctx.constant(true),
+                    // hadamard() itself yields all-zeros for k >= ways.
+                    ConstKind::Hadamard(k) => self.ctx.hadamard(k),
+                };
+                self.commit(r as usize, v, meter)
+            }
+            GateAction::Not(r) => {
+                let r = r as usize;
+                let v = self.ctx.not(&self.regs[r]);
+                self.commit(r, v, meter)
+            }
+            GateAction::Bin(op, a, b, c) => {
+                let (a, b, c) = (a as usize, b as usize, c as usize);
+                let (x, y) = (&self.regs[b], &self.regs[c]);
+                let v = match op {
+                    GateOp::And => self.ctx.and(x, y),
+                    GateOp::Or => self.ctx.or(x, y),
+                    GateOp::Xor => self.ctx.xor(x, y),
+                };
+                self.commit(a, v, meter)
+            }
+            GateAction::Ccnot(a, b, c) => {
+                let (a, b, c) = (a as usize, b as usize, c as usize);
+                let bc = self.ctx.and(&self.regs[b], &self.regs[c]);
+                let v = self.ctx.xor(&self.regs[a], &bc);
+                self.commit(a, v, meter)
+            }
+            GateAction::Swap(a, b) => {
+                let (a, b) = (a as usize, b as usize);
+                let mut d = WriteDelta::default();
+                if meter {
+                    d.merge(self.delta(&self.regs[a], &self.regs[b], true));
+                    d.merge(self.delta(&self.regs[b], &self.regs[a], true));
+                }
+                self.regs.swap(a, b);
+                d
+            }
+            GateAction::Cswap(a, b, c) => {
+                let (a, b, c) = (a as usize, b as usize, c as usize);
+                let sel = self.regs[c].clone();
+                let (va, vb) = (self.regs[a].clone(), self.regs[b].clone());
+                let na = self.ctx.mux(&sel, &vb, &va);
+                let nb = self.ctx.mux(&sel, &va, &vb);
+                let mut d = self.commit(a, na, meter);
+                d.merge(self.commit(b, nb, meter));
+                d
+            }
         }
-        self.regs.swap(a, b);
-        d
-    }
-
-    fn gate_cswap(&mut self, a: usize, b: usize, c: usize, meter: bool) -> WriteDelta {
-        let sel = self.regs[c].clone();
-        let (va, vb) = (self.regs[a].clone(), self.regs[b].clone());
-        let na = self.ctx.mux(&sel, &vb, &va);
-        let nb = self.ctx.mux(&sel, &va, &vb);
-        let mut d = self.commit(a, na, meter);
-        d.merge(self.commit(b, nb, meter));
-        d
     }
 
     fn meas(&self, r: usize, e: u64) -> bool {
@@ -245,23 +251,27 @@ mod tests {
 
     /// Exercise every gate once, in a fixed order, on the given file.
     fn drive(f: &mut dyn AobStorage) {
-        f.write_const(0, ConstKind::Hadamard(0), false);
-        f.write_const(1, ConstKind::Hadamard(3), false);
-        f.write_const(2, ConstKind::Hadamard(7), false);
-        f.write_const(3, ConstKind::Ones, false);
-        f.gate_bin(GateOp::And, 4, 0, 1, false);
-        f.gate_bin(GateOp::Or, 5, 4, 2, false);
-        f.gate_bin(GateOp::Xor, 6, 5, 0, false);
-        f.gate_not(6, false);
-        f.gate_bin(GateOp::Xor, 4, 4, 5, false); // cnot @4,@5
-        f.gate_bin(GateOp::Xor, 4, 4, 4, false); // cnot @4,@4: clears
-        f.gate_ccnot(5, 6, 0, false);
-        f.gate_ccnot(5, 5, 5, false); // fully aliased
-        f.gate_swap(4, 5, false);
-        f.gate_cswap(5, 6, 1, false);
-        f.gate_cswap(2, 2, 0, false); // aliased pair
-        f.write_const(3, ConstKind::Zeros, false);
-        f.write_const(3, ConstKind::Hadamard(200), false); // out of range: zeros
+        for act in [
+            GateAction::Const(0, ConstKind::Hadamard(0)),
+            GateAction::Const(1, ConstKind::Hadamard(3)),
+            GateAction::Const(2, ConstKind::Hadamard(7)),
+            GateAction::Const(3, ConstKind::Ones),
+            GateAction::Bin(GateOp::And, 4, 0, 1),
+            GateAction::Bin(GateOp::Or, 5, 4, 2),
+            GateAction::Bin(GateOp::Xor, 6, 5, 0),
+            GateAction::Not(6),
+            GateAction::Bin(GateOp::Xor, 4, 4, 5), // cnot @4,@5
+            GateAction::Bin(GateOp::Xor, 4, 4, 4), // cnot @4,@4: clears
+            GateAction::Ccnot(5, 6, 0),
+            GateAction::Ccnot(5, 5, 5), // fully aliased
+            GateAction::Swap(4, 5),
+            GateAction::Cswap(5, 6, 1),
+            GateAction::Cswap(2, 2, 0), // aliased pair
+            GateAction::Const(3, ConstKind::Zeros),
+            GateAction::Const(3, ConstKind::Hadamard(200)), // out of range: zeros
+        ] {
+            f.apply_action(act, false);
+        }
     }
 
     #[test]
@@ -290,9 +300,9 @@ mod tests {
         let mut eager = EagerFile::new(8, false);
         let mut sparse = SparseReFile::new(8, false);
         for f in [&mut eager as &mut dyn AobStorage, &mut sparse] {
-            let d1 = f.write_const(0, ConstKind::Ones, true);
+            let d1 = f.apply_action(GateAction::Const(0, ConstKind::Ones), true);
             assert_eq!(d1, WriteDelta { toggles: 256, pop_delta: 256, writes: 1 });
-            let d2 = f.gate_not(0, true);
+            let d2 = f.apply_action(GateAction::Not(0), true);
             assert_eq!(d2, WriteDelta { toggles: 256, pop_delta: -256, writes: 1 });
         }
     }
@@ -349,10 +359,10 @@ mod tests {
     #[test]
     fn ways_32_structured_states_stay_compressed() {
         let mut f = SparseReFile::new(32, true); // constant bank preloaded
-        f.gate_bin(GateOp::And, 100, 2 + 5, 2 + 31, false); // H(5) & H(31)
-        f.gate_bin(GateOp::Xor, 101, 100, 2 + 30, false);
-        f.gate_ccnot(101, 100, 2 + 0, false);
-        f.gate_not(101, false);
+        f.apply_action(GateAction::Bin(GateOp::And, 100, 2 + 5, 2 + 31), false); // H(5) & H(31)
+        f.apply_action(GateAction::Bin(GateOp::Xor, 101, 100, 2 + 30), false);
+        f.apply_action(GateAction::Ccnot(101, 100, 2 + 0), false);
+        f.apply_action(GateAction::Not(101), false);
 
         let pop = f.pop_after(100, 0);
         assert_eq!(pop + f.meas(100, 0) as u64, 1u64 << 30, "quarter of 2^32 ones");
@@ -375,10 +385,10 @@ mod tests {
     fn ways_20_structured_states_stay_compressed() {
         let mut f = SparseReFile::new(20, true); // constant bank preloaded
         // Work over the bank without touching reserved registers.
-        f.gate_bin(GateOp::And, 100, 2 + 5, 2 + 19, false); // H(5) & H(19)
-        f.gate_bin(GateOp::Xor, 101, 100, 2 + 18, false);
-        f.gate_ccnot(101, 100, 2 + 0, false);
-        f.gate_not(101, false);
+        f.apply_action(GateAction::Bin(GateOp::And, 100, 2 + 5, 2 + 19), false); // H(5) & H(19)
+        f.apply_action(GateAction::Bin(GateOp::Xor, 101, 100, 2 + 18), false);
+        f.apply_action(GateAction::Ccnot(101, 100, 2 + 0), false);
+        f.apply_action(GateAction::Not(101), false);
 
         // Analytic spot checks: H(19) & H(5) has a 1 exactly where both
         // bits of the channel index are set.

@@ -5,66 +5,39 @@
 //! must agree without ever materializing a register.
 
 use pbp::SparseReFile;
-use pbp_aob::storage::{AobStorage, ConstKind, EagerFile, REG_COUNT};
+use pbp_aob::storage::{AobStorage, ConstKind, EagerFile, GateAction, REG_COUNT};
 use pbp_aob::GateOp;
 use proptest::prelude::*;
 
-/// One Table 3 register-file operation, with register operands drawn from
-/// a small window so aliasing (`a == b`, `a == b == c`) is common.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Const(u8, u8),        // reg, kind selector (zeros / ones / H(k))
-    Not(u8),
-    Bin(GateOp, u8, u8, u8),
-    Ccnot(u8, u8, u8),
-    Swap(u8, u8),
-    Cswap(u8, u8, u8),
-}
-
 const REGS: u8 = 10;
 
-fn op() -> impl Strategy<Value = Op> {
+/// One Table 3 register-file operation, with register operands drawn from
+/// a small window so aliasing (`a == b`, `a == b == c`) is common.
+fn op() -> impl Strategy<Value = GateAction> {
     let r = 0u8..REGS;
     prop_oneof![
-        (r.clone(), 0u8..20).prop_map(|(a, k)| Op::Const(a, k)),
-        r.clone().prop_map(Op::Not),
+        (r.clone(), 0u8..20).prop_map(|(a, k)| {
+            let kind = match k {
+                0 => ConstKind::Zeros,
+                1 => ConstKind::Ones,
+                k => ConstKind::Hadamard((k - 2) as u32), // k >= ways: zeros
+            };
+            GateAction::Const(a, kind)
+        }),
+        r.clone().prop_map(GateAction::Not),
         (0u8..3, r.clone(), r.clone(), r.clone()).prop_map(|(o, a, b, c)| {
             let op = [GateOp::And, GateOp::Or, GateOp::Xor][o as usize];
-            Op::Bin(op, a, b, c)
+            GateAction::Bin(op, a, b, c)
         }),
-        (r.clone(), r.clone(), r.clone()).prop_map(|(a, b, c)| Op::Ccnot(a, b, c)),
-        (r.clone(), r.clone()).prop_map(|(a, b)| Op::Swap(a, b)),
-        (r.clone(), r.clone(), r).prop_map(|(a, b, c)| Op::Cswap(a, b, c)),
+        (r.clone(), r.clone(), r.clone()).prop_map(|(a, b, c)| GateAction::Ccnot(a, b, c)),
+        (r.clone(), r.clone()).prop_map(|(a, b)| GateAction::Swap(a, b)),
+        (r.clone(), r.clone(), r).prop_map(|(a, b, c)| GateAction::Cswap(a, b, c)),
     ]
 }
 
-fn apply(f: &mut dyn AobStorage, ops: &[Op]) {
-    for &o in ops {
-        match o {
-            Op::Const(a, k) => {
-                let kind = match k {
-                    0 => ConstKind::Zeros,
-                    1 => ConstKind::Ones,
-                    k => ConstKind::Hadamard((k - 2) as u32), // k >= ways: zeros
-                };
-                f.write_const(a as usize, kind, false);
-            }
-            Op::Not(a) => {
-                f.gate_not(a as usize, false);
-            }
-            Op::Bin(op, a, b, c) => {
-                f.gate_bin(op, a as usize, b as usize, c as usize, false);
-            }
-            Op::Ccnot(a, b, c) => {
-                f.gate_ccnot(a as usize, b as usize, c as usize, false);
-            }
-            Op::Swap(a, b) => {
-                f.gate_swap(a as usize, b as usize, false);
-            }
-            Op::Cswap(a, b, c) => {
-                f.gate_cswap(a as usize, b as usize, c as usize, false);
-            }
-        }
+fn apply(f: &mut dyn AobStorage, ops: &[GateAction]) {
+    for &act in ops {
+        f.apply_action(act, false);
     }
 }
 

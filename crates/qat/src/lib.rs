@@ -53,24 +53,20 @@ pub use pbp_aob::StorageBackend;
 /// Global telemetry handles for gate dispatch and port/energy activity.
 ///
 /// The `energy.*` names are shared with `pbp_aob::EnergyMeter`'s mirrors:
-/// the coprocessor's batched `flush_energy` path bypasses
-/// `EnergyMeter::record`, so it reports to the same keys directly. The
-/// `qat.backend.*` namespace attributes gate work to the storage backend
-/// (the sparse backend's `.materialize` counter lives with its
-/// implementation in the `pbp` crate).
+/// the coprocessor's `meter_write` path bypasses `EnergyMeter::record`, so
+/// it reports to the same keys directly. The `qat.backend.*` namespace
+/// attributes Qat instructions to the storage backend that ran them (the
+/// sparse backend's `.materialize` counter lives with its implementation
+/// in the `pbp` crate, hence the `sparse_re` spelling).
 mod telem {
+    use pbp_aob::StorageBackend;
     use tangled_isa::{Insn, KIND_COUNT};
     use tangled_telemetry::{Counter, CounterBank};
 
     pub static GATES: CounterBank<KIND_COUNT> = CounterBank::new("qat.gate", Insn::kind_name);
-    pub static KERNEL_INTERNED: Counter = Counter::new("qat.kernel.interned");
-    pub static KERNEL_EAGER: Counter = Counter::new("qat.kernel.eager");
-    pub static KERNEL_SPARSE_RE: Counter = Counter::new("qat.kernel.sparse_re");
-    pub static KERNEL_ADAPTIVE: Counter = Counter::new("qat.kernel.adaptive");
-    pub static BACKEND_EAGER: Counter = Counter::new("qat.backend.eager.gates");
-    pub static BACKEND_INTERNED: Counter = Counter::new("qat.backend.interned.gates");
-    pub static BACKEND_SPARSE_RE: Counter = Counter::new("qat.backend.sparse_re.gates");
-    pub static BACKEND_ADAPTIVE: Counter = Counter::new("qat.backend.adaptive.dispatch");
+    /// `qat.backend.<backend>.gates`, indexed by `StorageBackend as usize`.
+    pub static BACKEND_GATES: CounterBank<{ StorageBackend::ALL.len() }> =
+        CounterBank::new("qat.backend", backend_gates_label);
     pub static FUSED_RUNS: Counter = Counter::new("qat.fused.runs");
     pub static FUSED_GATES: Counter = Counter::new("qat.fused.gates");
     pub static PORT_READS: Counter = Counter::new("qat.ports.reads");
@@ -78,6 +74,10 @@ mod telem {
     pub static ENERGY_TOGGLES: Counter = Counter::new("energy.toggles");
     pub static ENERGY_IMBALANCE: Counter = Counter::new("energy.imbalance");
     pub static ENERGY_WRITES: Counter = Counter::new("energy.writes");
+
+    fn backend_gates_label(i: usize) -> &'static str {
+        ["eager.gates", "interned.gates", "sparse_re.gates", "adaptive.gates"][i]
+    }
 }
 
 /// Static configuration of a Qat instance.
@@ -328,9 +328,6 @@ pub struct QatCoprocessor {
     /// Imbalance is accounted **per instruction**, so the conservative
     /// swap family nets zero adiabatic cost (§5's billiard-ball argument).
     pub meter: EnergyMeter,
-    pending_toggles: u64,
-    pending_delta: i64,
-    pending_writes: u64,
 }
 
 impl Clone for QatCoprocessor {
@@ -340,9 +337,6 @@ impl Clone for QatCoprocessor {
             file: self.file.clone_box(),
             ports: self.ports.clone(),
             meter: self.meter.clone(),
-            pending_toggles: self.pending_toggles,
-            pending_delta: self.pending_delta,
-            pending_writes: self.pending_writes,
         }
     }
 }
@@ -359,9 +353,6 @@ impl QatCoprocessor {
             file,
             ports: PortStats::default(),
             meter: EnergyMeter::new(),
-            pending_toggles: 0,
-            pending_delta: 0,
-            pending_writes: 0,
         }
     }
 
@@ -426,9 +417,6 @@ impl QatCoprocessor {
     pub fn reset_stats(&mut self) {
         self.ports = PortStats::default();
         self.meter = EnergyMeter::new();
-        self.pending_toggles = 0;
-        self.pending_delta = 0;
-        self.pending_writes = 0;
         self.file.reset_stats();
     }
 
@@ -440,30 +428,49 @@ impl QatCoprocessor {
         }
     }
 
-    /// Fold one operation's write delta into the per-instruction pending
-    /// energy accumulators. An instruction that merely re-routes charge
-    /// between its destinations (swap/cswap) nets zero adiabatic imbalance
-    /// even when the individual registers change population.
-    fn note(&mut self, d: pbp_aob::WriteDelta) {
+    /// Charge one instruction's (or one fused run's) register writes to
+    /// the energy meter. Imbalance is the net population change of the
+    /// whole delta, so an instruction that merely re-routes charge between
+    /// its destinations (swap/cswap) nets zero adiabatic imbalance even
+    /// when the individual registers change population.
+    fn meter_write(&mut self, d: pbp_aob::WriteDelta) {
         if self.config.meter_energy {
-            self.pending_toggles += d.toggles;
-            self.pending_delta += d.pop_delta;
-            self.pending_writes += d.writes;
+            let imbalance = d.pop_delta.unsigned_abs();
+            self.meter.toggles += d.toggles;
+            self.meter.imbalance += imbalance;
+            self.meter.writes += d.writes;
+            telem::ENERGY_TOGGLES.add(d.toggles);
+            telem::ENERGY_IMBALANCE.add(imbalance);
+            telem::ENERGY_WRITES.add(d.writes);
         }
     }
 
-    fn flush_energy(&mut self) {
-        if self.config.meter_energy {
-            self.meter.toggles += self.pending_toggles;
-            self.meter.imbalance += self.pending_delta.unsigned_abs();
-            self.meter.writes += self.pending_writes;
-            telem::ENERGY_TOGGLES.add(self.pending_toggles);
-            telem::ENERGY_IMBALANCE.add(self.pending_delta.unsigned_abs());
-            telem::ENERGY_WRITES.add(self.pending_writes);
-            self.pending_toggles = 0;
-            self.pending_delta = 0;
-            self.pending_writes = 0;
+    /// Port and dispatch accounting for dispatched Qat instructions, each
+    /// given as its [`Insn::kind`] plus its [`gate_action`] (`None` for
+    /// the measurement family, which reads one register and writes none).
+    /// The one place `execute` and `execute_run` count `qat.gate.*`,
+    /// `qat.ports.*`, `qat.backend.<backend>.gates` and [`PortStats`].
+    fn account(&mut self, insns: impl Iterator<Item = (usize, Option<GateAction>)>) {
+        let (mut n, mut reads, mut writes) = (0u64, 0u64, 0u64);
+        for (kind, act) in insns {
+            let (nreads, nwrites) = act.map_or((1, 0), |a| (a.srcs().1, a.dests().1));
+            if nreads == 3 {
+                self.ports.triple_read_insns += 1;
+            }
+            if nwrites == 2 {
+                self.ports.dual_write_insns += 1;
+            }
+            telem::GATES.add(kind, 1);
+            n += 1;
+            reads += nreads as u64;
+            writes += nwrites as u64;
         }
+        self.ports.insns += n;
+        self.ports.reads += reads;
+        self.ports.writes += writes;
+        telem::PORT_READS.add(reads);
+        telem::PORT_WRITES.add(writes);
+        telem::BACKEND_GATES.add(self.file.backend() as usize, n);
     }
 
     /// Execute one Qat instruction.
@@ -477,95 +484,28 @@ impl QatCoprocessor {
         if !insn.is_qat() {
             return Err(QatError::NotAQatInstruction);
         }
-        // Port accounting from the ISA metadata (identical for every insn).
-        let nreads = insn.qreads().len();
-        let nwrites = insn.qwrites().len();
-        self.ports.insns += 1;
-        self.ports.reads += nreads as u64;
-        self.ports.writes += nwrites as u64;
-        if nreads == 3 {
-            self.ports.triple_read_insns += 1;
-        }
-        if nwrites == 2 {
-            self.ports.dual_write_insns += 1;
-        }
-        telem::GATES.add(insn.kind(), 1);
-        telem::PORT_READS.add(nreads as u64);
-        telem::PORT_WRITES.add(nwrites as u64);
-        match self.file.backend() {
-            StorageBackend::Eager => {
-                telem::KERNEL_EAGER.inc();
-                telem::BACKEND_EAGER.inc();
-            }
-            StorageBackend::Interned => {
-                telem::KERNEL_INTERNED.inc();
-                telem::BACKEND_INTERNED.inc();
-            }
-            StorageBackend::SparseRe => {
-                telem::KERNEL_SPARSE_RE.inc();
-                telem::BACKEND_SPARSE_RE.inc();
-            }
-            StorageBackend::Adaptive => {
-                telem::KERNEL_ADAPTIVE.inc();
-                telem::BACKEND_ADAPTIVE.inc();
-            }
-        }
-        for w in insn.qwrites() {
-            self.check_writable(w)?;
-        }
-
-        let meter = self.config.meter_energy;
-        let f = &mut self.file;
-        let d = match insn {
-            Insn::QZero { a } => f.write_const(a.0 as usize, ConstKind::Zeros, meter),
-            Insn::QOne { a } => f.write_const(a.0 as usize, ConstKind::Ones, meter),
-            Insn::QNot { a } => f.gate_not(a.0 as usize, meter),
-            Insn::QHad { a, k } => {
-                f.write_const(a.0 as usize, ConstKind::Hadamard(k as u32), meter)
-            }
-            Insn::QAnd { a, b, c } => {
-                f.gate_bin(GateOp::And, a.0 as usize, b.0 as usize, c.0 as usize, meter)
-            }
-            Insn::QOr { a, b, c } => {
-                f.gate_bin(GateOp::Or, a.0 as usize, b.0 as usize, c.0 as usize, meter)
-            }
-            Insn::QXor { a, b, c } => {
-                f.gate_bin(GateOp::Xor, a.0 as usize, b.0 as usize, c.0 as usize, meter)
-            }
-            Insn::QCnot { a, b } => {
-                // §5: cnot @a,@b == xor @a,@a,@b.
-                f.gate_bin(GateOp::Xor, a.0 as usize, a.0 as usize, b.0 as usize, meter)
-            }
-            Insn::QCcnot { a, b, c } => {
-                f.gate_ccnot(a.0 as usize, b.0 as usize, c.0 as usize, meter)
-            }
-            Insn::QSwap { a, b } => f.gate_swap(a.0 as usize, b.0 as usize, meter),
-            Insn::QCswap { a, b, c } => {
-                f.gate_cswap(a.0 as usize, b.0 as usize, c.0 as usize, meter)
-            }
-            Insn::QMeas { d: _, a } => {
-                self.flush_energy();
-                return Ok(Some(self.file.meas(a.0 as usize, d_in as u64) as u16));
-            }
-            Insn::QNext { d: _, a } => {
-                self.flush_energy();
+        let act = gate_action(&insn);
+        self.account(std::iter::once((insn.kind(), act)));
+        let Some(act) = act else {
+            let d = d_in as u64;
+            return Ok(Some(match insn {
+                Insn::QMeas { a, .. } => self.file.meas(a.0 as usize, d) as u16,
                 // The ISA's in-band `0` sentinel is applied here, at the
                 // GPR boundary: storage reports "no next 1" as a typed
                 // `None`, and only the 16-bit architectural result folds
                 // that into 0 (channel 0 is never a legal `next` result,
                 // so the encoding is unambiguous).
-                return Ok(Some(
-                    self.file.next(a.0 as usize, d_in as u64).map_or(0, |e| e as u16),
-                ));
-            }
-            Insn::QPop { d: _, a } => {
-                self.flush_energy();
-                return Ok(Some((self.file.pop_after(a.0 as usize, d_in as u64) & 0xFFFF) as u16));
-            }
-            _ => unreachable!("is_qat() guarantees a Qat variant"),
+                Insn::QNext { a, .. } => self.file.next(a.0 as usize, d).map_or(0, |e| e as u16),
+                Insn::QPop { a, .. } => (self.file.pop_after(a.0 as usize, d) & 0xFFFF) as u16,
+                _ => unreachable!("is_qat() guarantees a Qat variant"),
+            }));
         };
-        self.note(d);
-        self.flush_energy();
+        let (dests, nd) = act.dests();
+        for &r in &dests[..nd] {
+            self.check_writable(QReg(r))?;
+        }
+        let d = self.file.apply_action(act, self.config.meter_energy);
+        self.meter_write(d);
         Ok(None)
     }
 
@@ -587,12 +527,12 @@ impl QatCoprocessor {
     /// one storage-layer call ([`AobStorage::gate_run`]).
     ///
     /// Architecturally identical to calling [`QatCoprocessor::execute`] on
-    /// each instruction in order — port/telemetry accounting is kept
-    /// per-instruction for parity. The caller (the machine's peephole
-    /// pass) must pre-check writability: every instruction in the run is
-    /// validated *before* any gate executes, and a fault leaves the file
-    /// untouched, so runs must stop before the first would-faulting insn
-    /// to preserve partial-state fault semantics.
+    /// each instruction in order, including the port/telemetry accounting.
+    /// The caller (the machine's peephole pass) must pre-check
+    /// writability: every instruction in the run is validated *before* any
+    /// gate executes, and a fault leaves the file untouched, so runs must
+    /// stop before the first would-faulting insn to preserve partial-state
+    /// fault semantics.
     pub fn execute_run(&mut self, insns: &[Insn]) -> Result<(), QatError> {
         let mut actions = Vec::with_capacity(insns.len());
         for insn in insns {
@@ -603,53 +543,11 @@ impl QatCoprocessor {
             }
             actions.push(act);
         }
-        // Port accounting stays per-instruction (the action src/dest
-        // counts equal the instruction's architectural read/write port
-        // usage); the process-wide counters are batched per run.
-        let (mut reads, mut writes) = (0u64, 0u64);
-        for (insn, act) in insns.iter().zip(&actions) {
-            let nreads = act.srcs().1;
-            let nwrites = act.dests().1;
-            self.ports.insns += 1;
-            self.ports.reads += nreads as u64;
-            self.ports.writes += nwrites as u64;
-            if nreads == 3 {
-                self.ports.triple_read_insns += 1;
-            }
-            if nwrites == 2 {
-                self.ports.dual_write_insns += 1;
-            }
-            telem::GATES.add(insn.kind(), 1);
-            reads += nreads as u64;
-            writes += nwrites as u64;
-        }
-        telem::PORT_READS.add(reads);
-        telem::PORT_WRITES.add(writes);
-        let n = insns.len() as u64;
-        match self.file.backend() {
-            StorageBackend::Eager => {
-                telem::KERNEL_EAGER.add(n);
-                telem::BACKEND_EAGER.add(n);
-            }
-            StorageBackend::Interned => {
-                telem::KERNEL_INTERNED.add(n);
-                telem::BACKEND_INTERNED.add(n);
-            }
-            StorageBackend::SparseRe => {
-                telem::KERNEL_SPARSE_RE.add(n);
-                telem::BACKEND_SPARSE_RE.add(n);
-            }
-            StorageBackend::Adaptive => {
-                telem::KERNEL_ADAPTIVE.add(n);
-                telem::BACKEND_ADAPTIVE.add(n);
-            }
-        }
+        self.account(insns.iter().zip(&actions).map(|(i, &a)| (i.kind(), Some(a))));
         telem::FUSED_RUNS.inc();
         telem::FUSED_GATES.add(actions.len() as u64);
-        let meter = self.config.meter_energy;
-        let d = self.file.gate_run(&actions, meter);
-        self.note(d);
-        self.flush_energy();
+        let d = self.file.gate_run(&actions, self.config.meter_energy);
+        self.meter_write(d);
         Ok(())
     }
 }
@@ -931,32 +829,43 @@ mod tests {
     }
 
     /// `execute_run` is architecturally identical to stepping, on every
-    /// backend, including the port accounting.
+    /// backend, including the port accounting and the `qat.gate.*` /
+    /// `qat.ports.*` / `qat.backend.*` counters.
     #[test]
     fn execute_run_matches_stepped_execution() {
+        use tangled_telemetry::{scoped, set_mode, Mode, Snapshot};
+        set_mode(Mode::Counters);
+        let accounting = |snap: &Snapshot| -> Vec<(String, u64)> {
+            snap.iter()
+                .filter(|(k, _)| {
+                    ["qat.gate.", "qat.ports.", "qat.backend."].iter().any(|p| k.starts_with(p))
+                })
+                .map(|(k, v)| (k.to_string(), v))
+                .collect()
+        };
         for entry in backend_registry() {
             let ways = 8.max(entry.min_ways);
             let mut stepped = QatCoprocessor::new(QatConfig::with_backend(entry.backend, ways));
             let mut fused = stepped.clone();
-            for insn in &fusible_prog() {
-                stepped.execute(*insn, 0).unwrap();
-            }
-            fused.execute_run(&fusible_prog()).unwrap();
-            // And a second identical run to drive the interned run cache's
-            // replay path.
-            stepped_and_fused_second_pass(&mut stepped, &mut fused);
+            // Two identical passes: the second drives the interned run
+            // cache's replay path.
+            let ((), stepped_snap) = scoped(|| {
+                for insn in fusible_prog().iter().chain(&fusible_prog()) {
+                    stepped.execute(*insn, 0).unwrap();
+                }
+            });
+            let ((), fused_snap) = scoped(|| {
+                fused.execute_run(&fusible_prog()).unwrap();
+                fused.execute_run(&fusible_prog()).unwrap();
+            });
             for r in 0..=255u8 {
                 assert_eq!(stepped.reg(q(r)), fused.reg(q(r)), "{} @{r}", entry.backend);
             }
             assert_eq!(stepped.ports, fused.ports, "{}", entry.backend);
+            assert_eq!(accounting(&stepped_snap), accounting(&fused_snap), "{}", entry.backend);
+            let key = format!("qat.backend.{}.gates", entry.backend.name().replace('-', "_"));
+            assert_eq!(stepped_snap.get(&key), 2 * fusible_prog().len() as u64, "{key}");
         }
-    }
-
-    fn stepped_and_fused_second_pass(stepped: &mut QatCoprocessor, fused: &mut QatCoprocessor) {
-        for insn in &fusible_prog() {
-            stepped.execute(*insn, 0).unwrap();
-        }
-        fused.execute_run(&fusible_prog()).unwrap();
     }
 
     /// A run containing a constant-register fault executes nothing.

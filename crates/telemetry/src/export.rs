@@ -1,6 +1,5 @@
 //! The three exporters: human-readable summary table, `metrics.json`
-//! (`tangled-metrics/v2`, with a v1 compatibility mode), and Chrome
-//! `trace_event` JSON.
+//! (`tangled-metrics/v2`), and Chrome `trace_event` JSON.
 //!
 //! All output is deterministic: keys are emitted in sorted order, values
 //! are simulated-cycle counts, and nothing depends on wall-clock time.
@@ -17,10 +16,6 @@ use crate::{Mode, Snapshot, TraceKind, TraceLog};
 /// from v1.
 pub const METRICS_SCHEMA: &str = "tangled-metrics/v2";
 
-/// The previous schema identifier, still emitted under
-/// [`MetricsDoc::v1_compat`] (the CLI's `--metrics-v1`).
-pub const METRICS_SCHEMA_V1: &str = "tangled-metrics/v1";
-
 /// Everything the `metrics.json` exporter needs for one run.
 pub struct MetricsDoc<'a> {
     /// Counter values for the run (usually a [`Snapshot::delta`]).
@@ -31,9 +26,6 @@ pub struct MetricsDoc<'a> {
     pub trace_events: u64,
     /// Trace events lost to ring-buffer overwrite.
     pub trace_dropped: u64,
-    /// Emit the legacy `tangled-metrics/v1` document byte-for-byte
-    /// (no `quantiles` object) for downstream tooling pinned to v1.
-    pub v1_compat: bool,
 }
 
 fn escape(s: &str, out: &mut String) {
@@ -52,8 +44,7 @@ fn escape(s: &str, out: &mut String) {
     }
 }
 
-/// Render the stable `tangled-metrics/v2` JSON document (or the legacy
-/// v1 document when [`MetricsDoc::v1_compat`] is set).
+/// Render the stable `tangled-metrics/v2` JSON document.
 ///
 /// ```json
 /// {
@@ -90,29 +81,26 @@ pub fn metrics_json(doc: &MetricsDoc) -> String {
     }
     out.push_str("},\n");
     let _ = write!(out, "  \"mode\": \"{}\",\n", doc.mode.name());
-    if !doc.v1_compat {
-        out.push_str("  \"quantiles\": {");
-        let mut first = true;
-        for (name, q) in doc.snapshot.histogram_quantiles() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("\n    \"");
-            escape(&name, &mut out);
-            let _ = write!(
-                out,
-                "\": {{ \"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {} }}",
-                q.count, q.p50, q.p95, q.p99
-            );
-        }
+    out.push_str("  \"quantiles\": {");
+    let mut first = true;
+    for (name, q) in doc.snapshot.histogram_quantiles() {
         if !first {
-            out.push_str("\n  ");
+            out.push(',');
         }
-        out.push_str("},\n");
+        first = false;
+        out.push_str("\n    \"");
+        escape(&name, &mut out);
+        let _ = write!(
+            out,
+            "\": {{ \"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {} }}",
+            q.count, q.p50, q.p95, q.p99
+        );
     }
-    let schema = if doc.v1_compat { METRICS_SCHEMA_V1 } else { METRICS_SCHEMA };
-    let _ = write!(out, "  \"schema\": \"{schema}\",\n");
+    if !first {
+        out.push_str("\n  ");
+    }
+    out.push_str("},\n");
+    let _ = writeln!(out, "  \"schema\": \"{METRICS_SCHEMA}\",");
     let _ = write!(
         out,
         "  \"trace\": {{ \"dropped\": {}, \"events\": {} }}\n",
@@ -326,7 +314,6 @@ mod tests {
                 mode: Mode::Counters,
                 trace_events: 0,
                 trace_dropped: 0,
-                v1_compat: false,
             };
             (metrics_json(&doc), metrics_json(&doc))
         });
@@ -335,26 +322,6 @@ mod tests {
         assert!(a.contains("\"quantiles\": {"), "{a}");
         assert!(a.contains("\"mode\": \"counters\""), "{a}");
         assert!(a.contains("test.weird.\\\"quoted\\\"\\\\name"), "{a}");
-    }
-
-    #[test]
-    fn metrics_json_v1_compat_matches_legacy_bytes() {
-        let snap = Snapshot::from_pairs([("a.one", 1u64), ("b.two", 2)]);
-        let doc = MetricsDoc {
-            snapshot: &snap,
-            mode: Mode::Counters,
-            trace_events: 0,
-            trace_dropped: 0,
-            v1_compat: true,
-        };
-        let json = metrics_json(&doc);
-        // The exact v1 byte format, frozen: no quantiles key anywhere.
-        assert_eq!(
-            json,
-            "{\n  \"counters\": {\n    \"a.one\": 1,\n    \"b.two\": 2\n  },\n  \
-             \"mode\": \"counters\",\n  \"schema\": \"tangled-metrics/v1\",\n  \
-             \"trace\": { \"dropped\": 0, \"events\": 0 }\n}\n"
-        );
     }
 
     #[test]
@@ -371,7 +338,6 @@ mod tests {
                 mode: Mode::Counters,
                 trace_events: 0,
                 trace_dropped: 0,
-                v1_compat: false,
             })
         });
         assert!(

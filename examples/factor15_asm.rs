@@ -163,7 +163,6 @@ fn main() {
                 mode,
                 trace_events: trace_log.events.len() as u64,
                 trace_dropped: trace_log.dropped,
-                v1_compat: false,
             };
             std::fs::write(path, export::metrics_json(&doc)).expect("write metrics");
             println!("wrote {path}");

@@ -55,7 +55,6 @@ struct Args {
     cross_every: u64,
     workers: usize,
     metrics_out: Option<PathBuf>,
-    metrics_v1: bool,
     live_interval: Option<u64>,
     crash_dir: Option<PathBuf>,
     trace: bool,
@@ -79,7 +78,6 @@ impl Default for Args {
             cross_every: 10,
             workers: 1,
             metrics_out: None,
-            metrics_v1: false,
             live_interval: None,
             crash_dir: None,
             trace: false,
@@ -112,7 +110,6 @@ OPTIONS:
                            (default 1)
   --metrics-out PATH       write the merged per-job telemetry snapshot as
                            tangled-metrics/v2 JSON on every exit path
-  --metrics-v1             emit the legacy tangled-metrics/v1 document
   --live-metrics[=N]       emit one tangled-live/v1 snapshot line to stderr
                            every N completed jobs (default 8) plus a final
                            summary line
@@ -165,7 +162,6 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--metrics-out" => args.metrics_out = Some(PathBuf::from(val("--metrics-out")?)),
-            "--metrics-v1" => args.metrics_v1 = true,
             "--live-metrics" => args.live_interval = Some(8),
             "--crash-dir" => args.crash_dir = Some(PathBuf::from(val("--crash-dir")?)),
             "--trace" => args.trace = true,
@@ -248,17 +244,15 @@ fn print_campaign_summary(
     }
 }
 
-/// Write the merged per-job snapshot as a `tangled-metrics/v2` document
-/// (or the legacy v1 layout under `--metrics-v1`). Called on every exit
-/// path when `--metrics-out` was given, so even an interrupted campaign
-/// leaves a well-formed artifact.
-fn write_metrics(path: &Path, snap: &telemetry::Snapshot, v1_compat: bool) {
+/// Write the merged per-job snapshot as a `tangled-metrics/v2` document.
+/// Called on every exit path when `--metrics-out` was given, so even an
+/// interrupted campaign leaves a well-formed artifact.
+fn write_metrics(path: &Path, snap: &telemetry::Snapshot) {
     let doc = export::MetricsDoc {
         snapshot: snap,
         mode: telemetry::mode(),
         trace_events: 0,
         trace_dropped: 0,
-        v1_compat,
     };
     if let Err(e) = std::fs::write(path, export::metrics_json(&doc)) {
         eprintln!("warning: could not write {}: {e}", path.display());
@@ -587,7 +581,7 @@ fn main() -> ExitCode {
                     &campaign.metrics,
                 );
                 if let Some(p) = &args.metrics_out {
-                    write_metrics(p, &campaign.metrics, args.metrics_v1);
+                    write_metrics(p, &campaign.metrics);
                 }
                 return ExitCode::FAILURE;
             }
@@ -623,14 +617,17 @@ fn main() -> ExitCode {
     let mut collected = 0u64;
     let mut stop_reason: Option<&str> = None;
 
-    // Printed before the first job so callers (and the SIGINT CLI test)
-    // can synchronize on a live campaign.
-    println!(
+    // Callers (the SIGINT CLI test among them) synchronize on this banner,
+    // so it is printed only once the first job result has been absorbed:
+    // that job's spans are then in the span ring, and a crash bundle
+    // written on a later SIGINT is never empty. A loop that ends before
+    // any result arrives prints it on the way out.
+    let mut banner = Some(format!(
         "campaign: {} seed(s) from {} across {} worker(s)",
         args.seeds,
         args.start_seed,
         pool.workers()
-    );
+    ));
 
     // Submit while there is queue space, fold in results while waiting;
     // on SIGINT or an expired time budget, stop submitting, cancel the
@@ -679,7 +676,13 @@ fn main() -> ExitCode {
         if let Some(r) = pool.recv_timeout(Duration::from_millis(50)) {
             collected += 1;
             campaign.absorb(&r, &args);
+            if let Some(b) = banner.take() {
+                println!("{b}");
+            }
         }
+    }
+    if let Some(b) = banner {
+        println!("{b}");
     }
     if let Some(reason) = stop_reason {
         println!("{reason} after {} seeds", campaign.ran);
@@ -714,7 +717,7 @@ fn main() -> ExitCode {
         }
     }
     if let Some(p) = &args.metrics_out {
-        write_metrics(p, &campaign.metrics, args.metrics_v1);
+        write_metrics(p, &campaign.metrics);
     }
 
     if interrupted() {

@@ -7,18 +7,14 @@
 //!     --ways N          entanglement degree (default 16)
 //!     --model NAME      simulator model from the engine registry
 //!                       (functional, multicycle, pipeline-4-fw, ... —
-//!                       see `tangled backends`)
+//!                       see `tangled backends`; default pipeline-4-fw)
 //!     --qat-backend B   Qat register-file storage backend
 //!                       (eager | interned | sparse-re | adaptive)
-//!     --multicycle      shorthand for --model multicycle
-//!     --stages 4|5      pipeline depth (default 4)
-//!     --no-forwarding   disable result bypassing
 //!     --trace           print the stage-occupancy chart
 //!     --regs            dump registers at halt
 //!     --macros          assemble reversible gates as §5 macros
 //!     --telemetry       enable counters; print the telemetry summary
 //!     --metrics-out F   write tangled-metrics/v2 JSON (implies --telemetry)
-//!     --metrics-v1      emit the legacy tangled-metrics/v1 document instead
 //!     --trace-out F     write Chrome trace_event JSON (implies full tracing;
 //!                       load in chrome://tracing or https://ui.perfetto.dev)
 //!     --store-in F      warm the Qat register file from a ChunkStore
@@ -32,7 +28,6 @@
 //!     --qat-backend B   Qat register-file storage backend
 //!     --metrics-out F   write the merged per-job telemetry snapshot as
 //!                       tangled-metrics/v2 JSON
-//!     --metrics-v1      emit the legacy tangled-metrics/v1 document instead
 //!     --live-metrics[=N]  emit one tangled-live/v1 snapshot line to stderr
 //!                       every N completed jobs (default 8) plus a final
 //!                       summary line
@@ -92,17 +87,14 @@ fn usage() -> ExitCode {
 
 struct RunOpts {
     ways: u32,
-    model: Option<String>,
+    /// Engine-registry model name (`--model`).
+    model: String,
     qat_backend: StorageBackend,
-    multicycle: bool,
-    stages: StageCount,
-    forwarding: bool,
     trace: bool,
     regs: bool,
     macros: bool,
     telemetry: bool,
     metrics_out: Option<String>,
-    metrics_v1: bool,
     trace_out: Option<String>,
     store_in: Option<String>,
     store_out: Option<String>,
@@ -112,39 +104,17 @@ impl Default for RunOpts {
     fn default() -> Self {
         RunOpts {
             ways: 16,
-            model: None,
+            model: "pipeline-4-fw".to_string(),
             qat_backend: StorageBackend::Interned,
-            multicycle: false,
-            stages: StageCount::Four,
-            forwarding: true,
             trace: false,
             regs: false,
             macros: false,
             telemetry: false,
             metrics_out: None,
-            metrics_v1: false,
             trace_out: None,
             store_in: None,
             store_out: None,
         }
-    }
-}
-
-impl RunOpts {
-    /// The engine-registry model name this invocation selects: `--model`
-    /// verbatim when given, otherwise the legacy shorthand flags
-    /// (`--multicycle`, `--stages`, `--no-forwarding`) mapped onto their
-    /// registry names.
-    fn model_name(&self) -> String {
-        if let Some(m) = &self.model {
-            return m.clone();
-        }
-        if self.multicycle {
-            return "multicycle".to_string();
-        }
-        let depth = if self.stages == StageCount::Five { 5 } else { 4 };
-        let fw = if self.forwarding { "fw" } else { "nofw" };
-        format!("pipeline-{depth}-{fw}")
     }
 }
 
@@ -160,19 +130,12 @@ fn parse_opts(args: &[String]) -> Result<RunOpts, String> {
                     .parse()
                     .map_err(|_| "--ways: not a number")?;
             }
-            "--model" => o.model = Some(it.next().ok_or("--model needs a value")?.clone()),
+            "--model" => o.model = it.next().ok_or("--model needs a value")?.clone(),
             "--qat-backend" => {
                 let b = it.next().ok_or("--qat-backend needs a value")?;
                 o.qat_backend = StorageBackend::parse(b)
                     .ok_or_else(|| format!("unknown Qat backend `{b}` (see `tangled backends`)"))?;
             }
-            "--multicycle" => o.multicycle = true,
-            "--stages" => match it.next().map(String::as_str) {
-                Some("4") => o.stages = StageCount::Four,
-                Some("5") => o.stages = StageCount::Five,
-                _ => return Err("--stages takes 4 or 5".into()),
-            },
-            "--no-forwarding" => o.forwarding = false,
             "--trace" => o.trace = true,
             "--regs" => o.regs = true,
             "--macros" => o.macros = true,
@@ -180,7 +143,6 @@ fn parse_opts(args: &[String]) -> Result<RunOpts, String> {
             "--metrics-out" => {
                 o.metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?.clone());
             }
-            "--metrics-v1" => o.metrics_v1 = true,
             "--trace-out" => {
                 o.trace_out = Some(it.next().ok_or("--trace-out needs a path")?.clone());
             }
@@ -221,9 +183,8 @@ fn intern_degree(b: StorageBackend, w: u32) -> Option<u32> {
 
 fn cmd_run(path: &str, o: RunOpts) -> Result<(), String> {
     let words = runner::load_words(path, o.macros)?;
-    let model_name = o.model_name();
-    let entry = tangled_qat::sim::model(&model_name)
-        .ok_or_else(|| format!("unknown model `{model_name}` (see `tangled backends`)"))?;
+    let entry = tangled_qat::sim::model(&o.model)
+        .ok_or_else(|| format!("unknown model `{}` (see `tangled backends`)", o.model))?;
     let be = qat::backend_entry(o.qat_backend);
     if !be.supports_ways(o.ways) {
         return Err(format!(
@@ -320,7 +281,6 @@ fn cmd_run(path: &str, o: RunOpts) -> Result<(), String> {
                 mode,
                 trace_events: log.events.len() as u64,
                 trace_dropped: log.dropped,
-                v1_compat: o.metrics_v1,
             };
             std::fs::write(path, export::metrics_json(&doc))
                 .map_err(|e| format!("{path}: {e}"))?;
@@ -364,7 +324,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut backend = StorageBackend::Interned;
     let mut model: Option<String> = None;
     let mut metrics_out: Option<String> = None;
-    let mut metrics_v1 = false;
     let mut live_interval: Option<u64> = None;
     let mut crash_dir: Option<std::path::PathBuf> = None;
     let mut warm_store: Option<String> = None;
@@ -397,7 +356,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--metrics-out" => {
                 metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?.clone());
             }
-            "--metrics-v1" => metrics_v1 = true,
             "--live-metrics" => live_interval = Some(8),
             "--crash-dir" => {
                 crash_dir =
@@ -503,7 +461,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             mode: telemetry::mode(),
             trace_events: 0,
             trace_dropped: 0,
-            v1_compat: metrics_v1,
         };
         std::fs::write(path, export::metrics_json(&doc)).map_err(|e| format!("{path}: {e}"))?;
     }

@@ -37,11 +37,32 @@ fn run_factor15_prints_factors() {
 fn run_options_select_models() {
     let (s4, _, _) = tangled(&["run", &asm_path("counting.s"), "--ways", "8"]);
     let (s5, _, _) =
-        tangled(&["run", &asm_path("counting.s"), "--ways", "8", "--stages", "5"]);
-    let (mc, _, _) = tangled(&["run", &asm_path("counting.s"), "--ways", "8", "--multicycle"]);
+        tangled(&["run", &asm_path("counting.s"), "--ways", "8", "--model", "pipeline-5-fw"]);
+    let (mc, _, _) =
+        tangled(&["run", &asm_path("counting.s"), "--ways", "8", "--model", "multicycle"]);
     assert!(s4.contains("Four"));
     assert!(s5.contains("Five"));
     assert!(mc.contains("multi-cycle"));
+}
+
+/// The retired model shorthands and the legacy metrics flag are unknown
+/// options now: `--model` and the v2 document are the only spellings.
+#[test]
+fn retired_flags_are_rejected() {
+    let path = asm_path("counting.s");
+    for flags in [&["--multicycle"][..], &["--stages", "5"], &["--no-forwarding"], &["--metrics-v1"]] {
+        let mut args = vec!["run", path.as_str(), "--ways", "8"];
+        args.extend_from_slice(flags);
+        let (_, stderr, ok) = tangled(&args);
+        assert!(!ok, "{flags:?} accepted");
+        assert!(stderr.contains("unknown option"), "{flags:?}: {stderr}");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_qat-fuzz"))
+        .arg("--metrics-v1")
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "qat-fuzz --metrics-v1 is a usage error");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
 }
 
 #[test]
@@ -273,6 +294,23 @@ fn qat_fuzz_sigint_drains_and_writes_metrics() {
         !bundle_doc["trace"]["events"].as_array().unwrap().is_empty(),
         "span ring not flushed into the SIGINT bundle"
     );
+}
+
+/// The `campaign:` banner waits for the first job result, but a campaign
+/// that ends before any result arrives still prints it, exactly once.
+#[test]
+fn qat_fuzz_banner_printed_without_results() {
+    let dir = std::env::temp_dir().join("tangled_cli_empty_campaign_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_qat-fuzz"))
+        .args(["--seeds", "0", "--no-replay", "--corpus", dir.join("corpus").to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert_eq!(stdout.lines().filter(|l| l.starts_with("campaign:")).count(), 1, "{stdout}");
+    assert!(stdout.contains("0 seeds fuzzed"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `tangled serve --live-metrics` streams schema-tagged snapshot lines

@@ -76,7 +76,6 @@ fn metrics_json_matches_golden_schema() {
         "pipe.branch.mispredict",
         "qat.gate.qhad",
         "qat.gate.qand",
-        "qat.kernel.interned",
         "qat.backend.interned.gates",
         "intern.hits",
         "intern.misses",
@@ -96,73 +95,83 @@ fn metrics_json_matches_golden_schema() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// `--metrics-v1` reproduces the legacy document: v1 schema tag, no
-/// quantiles block, same counters.
-#[test]
-fn metrics_v1_flag_emits_legacy_schema() {
-    let path = out_path("v1-metrics.json");
-    run_factor15(&["--metrics-out", path.to_str().unwrap(), "--metrics-v1"]);
-    let text = std::fs::read_to_string(&path).expect("metrics file written");
-    let doc = Json::parse(&text).expect("metrics.json parses");
-    assert_eq!(doc["schema"].as_str(), Some("tangled-metrics/v1"));
-    assert!(!text.contains("\"quantiles\""), "v1 document carries a quantiles block");
-    let counters = match &doc["counters"] {
-        Json::Obj(m) => m,
-        other => panic!("counters is not an object: {other:?}"),
-    };
-    assert!(counters.contains_key("tangled.insns"));
-    let _ = std::fs::remove_file(&path);
+/// `qat.backend.<backend>.gates` key of a backend (`sparse-re` is spelled
+/// `sparse_re` in the counter namespace).
+fn backend_gates_key(b: tangled_qat::qat::StorageBackend) -> String {
+    format!("qat.backend.{}.gates", b.name().replace('-', "_"))
 }
 
-/// The per-backend counter namespace: a sparse-re run lands its gates in
-/// `qat.backend.sparse_re.*` / `qat.kernel.sparse_re`, leaves the interned
-/// kernels untouched, and never materializes a full vector (the CLI run
-/// path only uses the meas/next/pop datapath).
+/// The per-backend counter namespace, for every registered backend: the
+/// run lands every Qat instruction in its own `qat.backend.<b>.gates`
+/// (equal to the sum of `qat.gate.*`), leaves every other backend's key
+/// untouched, and exports no `qat.kernel.*` key. Packed backends never
+/// materialize a full vector (the CLI run path only uses the
+/// meas/next/pop datapath).
 #[test]
-fn sparse_re_backend_exports_its_namespace() {
-    let path = out_path("sparse-metrics.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_tangled"))
-        .args([
-            "run",
-            &asm_path("factor15.s"),
-            "--ways",
-            "20",
-            "--qat-backend",
-            "sparse-re",
-            "--metrics-out",
-            path.to_str().unwrap(),
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "tangled run failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = std::fs::read_to_string(&path).expect("metrics file written");
-    let doc = Json::parse(&text).expect("metrics.json parses");
-    let counters = match &doc["counters"] {
-        Json::Obj(m) => m,
-        other => panic!("counters is not an object: {other:?}"),
-    };
-    for key in ["qat.backend.sparse_re.gates", "qat.kernel.sparse_re"] {
+fn every_backend_exports_its_namespace() {
+    use tangled_qat::qat::backend_registry;
+    for entry in backend_registry() {
+        // Past the hardware's 16 ways on the backends that support it.
+        let ways = entry.max_ways.min(20);
+        let path = out_path(&format!("{}-metrics.json", entry.backend));
+        let out = Command::new(env!("CARGO_BIN_EXE_tangled"))
+            .args([
+                "run",
+                &asm_path("factor15.s"),
+                "--ways",
+                &ways.to_string(),
+                "--model",
+                "functional",
+                "--qat-backend",
+                entry.backend.name(),
+                "--metrics-out",
+                path.to_str().unwrap(),
+            ])
+            .output()
+            .expect("binary runs");
         assert!(
-            counters.get(key).and_then(|v| v.as_u64()).unwrap_or(0) > 0,
-            "`{key}` missing or zero; got keys {:?}",
-            counters.keys().collect::<Vec<_>>()
+            out.status.success(),
+            "tangled run failed: {}",
+            String::from_utf8_lossy(&out.stderr)
         );
-    }
-    for key in ["qat.kernel.interned", "qat.backend.interned.gates"] {
+        let text = std::fs::read_to_string(&path).expect("metrics file written");
+        let doc = Json::parse(&text).expect("metrics.json parses");
+        let counters = match &doc["counters"] {
+            Json::Obj(m) => m,
+            other => panic!("counters is not an object: {other:?}"),
+        };
+        let get = |key: &str| counters.get(key).and_then(|v| v.as_u64()).unwrap_or(0);
+        let gates: u64 = counters
+            .iter()
+            .filter(|(k, _)| k.starts_with("qat.gate."))
+            .map(|(_, v)| v.as_u64().unwrap())
+            .sum();
+        assert!(gates > 0, "{}: no qat.gate.* counted", entry.backend);
+        assert_eq!(get(&backend_gates_key(entry.backend)), gates, "{}", entry.backend);
+        for other in backend_registry().iter().filter(|o| o.backend != entry.backend) {
+            let key = backend_gates_key(other.backend);
+            assert_eq!(get(&key), 0, "`{key}` counted on a {} run", entry.backend);
+        }
         assert!(
-            counters.get(key).and_then(|v| v.as_u64()).unwrap_or(0) == 0,
-            "`{key}` counted on a sparse-re run"
+            !counters.keys().any(|k| k.starts_with("qat.kernel.")),
+            "{}: qat.kernel.* exported",
+            entry.backend
         );
+        assert_eq!(
+            get("qat.backend.sparse_re.materialize"),
+            0,
+            "{} CLI run materialized a full vector",
+            entry.backend
+        );
+        if entry.backend == tangled_qat::qat::StorageBackend::SparseRe {
+            check_packed_histograms(counters, &doc, &text);
+        }
+        let _ = std::fs::remove_file(&path);
     }
-    assert!(
-        counters.get("qat.backend.sparse_re.materialize").and_then(|v| v.as_u64()).unwrap_or(0)
-            == 0,
-        "sparse-re CLI run materialized a full vector"
-    );
+}
+
+/// A sparse-re run's packed-RLE histograms and their v2 quantiles.
+fn check_packed_histograms(counters: &BTreeMap<String, Json>, doc: &Json, text: &str) {
     // The packed-RLE compression histograms ride the same export: every
     // RE gate records its command-word footprint and its win over the
     // flat-run baseline under `pbp.re.packed.*`.
@@ -196,7 +205,6 @@ fn sparse_re_backend_exports_its_namespace() {
         );
         assert!(p50 >= 1 && p50 <= p95 && p95 <= p99, "{family}: not monotone");
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -321,7 +329,6 @@ fn store_and_corpus_counters_ride_the_v2_export() {
         mode: telemetry::mode(),
         trace_events: 0,
         trace_dropped: 0,
-        v1_compat: false,
     };
     let rendered = Json::parse(&export::metrics_json(&doc)).unwrap();
     let counters = match &rendered["counters"] {
