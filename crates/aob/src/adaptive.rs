@@ -1,9 +1,10 @@
 //! The `adaptive` register file: eager until interning provably pays.
 //!
-//! `BENCH_interning.json` is the motivation: hash-consing wins 8x+ when a
-//! workload repeats gates over repeated values, and *loses* when every
-//! result is fresh (straight-line arithmetic like the factoring demo pays
-//! content-hash + probe overhead for nothing). Which regime a program is
+//! The benchmark ledger's per-backend replay rows are the motivation:
+//! hash-consing wins about 5x when a workload repeats gates over repeated
+//! values (`gate-reuse`), and *loses* about 3x when every result is fresh
+//! (`factor221`: straight-line arithmetic pays content-hash + probe
+//! overhead for nothing). Which regime a program is
 //! in is a runtime property, so [`AdaptiveFile`] measures instead of
 //! guessing:
 //!

@@ -1,7 +1,7 @@
 //! The perf-regression diff engine behind `tangled metrics diff`.
 //!
 //! Compares two metrics documents — `metrics.json`
-//! (`tangled-metrics/v1`/`v2`) or any `BENCH_*.json` artifact — by
+//! (`tangled-metrics/v1`/`v2`) or a `tangled-benchmark/v1` result set — by
 //! flattening every numeric leaf to a dotted path and checking each
 //! shared key's *relative* change against a threshold. The gate is a
 //! change detector, deliberately direction-agnostic: a deterministic

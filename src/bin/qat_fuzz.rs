@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use tangled_qat::asm;
 use tangled_qat::isa::{disassemble, Insn};
-use tangled_qat::qat::{self, StorageBackend};
+use tangled_qat::qat::StorageBackend;
 use tangled_qat::runner;
 use tangled_qat::serve::{JobError, JobKind, JobResult, JobSpec, Pool, ServeConfig};
 use tangled_qat::sim::difftest::{
@@ -186,13 +186,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    let be = qat::backend_entry(args.backend);
-    if !be.supports_ways(args.ways) {
-        return Err(format!(
-            "backend `{}` supports --ways {}..={}, got {}",
-            be.backend, be.min_ways, be.max_ways, args.ways
-        ));
-    }
+    runner::check_ways(args.backend, args.ways, true)?;
     Ok(args)
 }
 

@@ -185,13 +185,8 @@ fn cmd_run(path: &str, o: RunOpts) -> Result<(), String> {
     let words = runner::load_words(path, o.macros)?;
     let entry = tangled_qat::sim::model(&o.model)
         .ok_or_else(|| format!("unknown model `{}` (see `tangled backends`)", o.model))?;
+    runner::check_ways(o.qat_backend, o.ways, false)?;
     let be = qat::backend_entry(o.qat_backend);
-    if !be.supports_ways(o.ways) {
-        return Err(format!(
-            "backend `{}` supports ways {}..={}, got {} (see `tangled backends`)",
-            be.backend, be.min_ways, be.max_ways, o.ways
-        ));
-    }
     let mode = if o.trace_out.is_some() {
         telemetry::Mode::Trace
     } else if o.telemetry || o.metrics_out.is_some() {
@@ -376,6 +371,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     if paths.is_empty() {
         return Err("serve: no programs given".into());
+    }
+    // A bad degree is a usage error (exit 2, as in qat-fuzz), caught
+    // before any job can panic on it.
+    if let Err(e) = runner::check_ways(backend, ways, true) {
+        eprintln!("tangled: {e}");
+        std::process::exit(2);
     }
     // Attach the warm snapshot once and install it as the process-wide
     // ambient default: every worker whose register file interns at the

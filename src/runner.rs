@@ -32,6 +32,27 @@ pub fn load_words(path: &str, expand_reversible: bool) -> Result<Vec<u16>, Strin
     assemble_with(&src, &opts).map(|img| img.words).map_err(|e| format!("{path}:{e}"))
 }
 
+/// Check a `--ways` argument against backend `b`'s supported range. A
+/// `job` (anything run through `serve`) is further capped at
+/// [`pbp_aob::MAX_WAYS`]: `difftest::capture` expands all 256 registers to
+/// explicit vectors, which stop there.
+pub fn check_ways(b: StorageBackend, ways: u32, job: bool) -> Result<(), String> {
+    let be = qat_coproc::backend_entry(b);
+    if !be.supports_ways(ways) {
+        return Err(format!(
+            "backend `{}` supports ways {}..={}, got {} (see `tangled backends`)",
+            be.backend, be.min_ways, be.max_ways, ways
+        ));
+    }
+    if job && ways > pbp_aob::MAX_WAYS {
+        return Err(format!(
+            "--ways {ways}: jobs capture every register as an explicit vector, so at most {} ways",
+            pbp_aob::MAX_WAYS
+        ));
+    }
+    Ok(())
+}
+
 /// Parse a `; key value` numeric header from a corpus reproducer (the
 /// fuzzer writes them; [`corpus_diff_config`] reads them back).
 pub fn corpus_header(text: &str, key: &str, default: u64) -> u64 {

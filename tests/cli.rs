@@ -215,6 +215,40 @@ fn serve_runs_jobs_across_workers() {
     assert!(out.contains("2 job(s)"), "{out}");
 }
 
+/// A degree outside the backend's range, or past `aob::MAX_WAYS` (a job
+/// captures every register as an explicit vector), is a usage error
+/// before any job starts, not a panicking job.
+#[test]
+fn serve_rejects_unsupported_ways() {
+    let path = asm_path("counting.s");
+    for (ways, backend, msg) in
+        [("20", "interned", "supports ways 1..=16"), ("32", "sparse-re", "at most 26 ways")]
+    {
+        let out = Command::new(env!("CARGO_BIN_EXE_tangled"))
+            .args(["serve", &path, "--ways", ways, "--qat-backend", backend])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--ways {ways}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(stderr.contains(msg), "{stderr}");
+    }
+}
+
+#[test]
+fn qat_fuzz_rejects_ways_past_register_capture() {
+    let dir = std::env::temp_dir().join("tangled_cli_fuzz_ways_test");
+    let out = Command::new(env!("CARGO_BIN_EXE_qat-fuzz"))
+        .args(["--ways", "32", "--qat-backend", "sparse-re", "--seeds", "1", "--no-replay"])
+        .arg("--corpus")
+        .arg(&dir)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.lines().next().is_some_and(|l| l.contains("at most 26 ways")), "{stderr}");
+}
+
 #[test]
 fn qat_fuzz_sigint_drains_and_writes_metrics() {
     use std::io::{BufRead, BufReader};

@@ -35,6 +35,33 @@ fn readme_compiled_snippet() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// Every `--bench NAME` the docs cite names a `[[bench]]` target, and
+/// every `BENCH_*.json` they cite is committed at the repository root.
+#[test]
+fn docs_cite_only_existing_benches_and_artifacts() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |p: &str| std::fs::read_to_string(root.join(p)).unwrap();
+    let word = |s: &str| -> String {
+        s.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect()
+    };
+    let manifest = read("crates/bench/Cargo.toml");
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = read(doc);
+        for rest in text.split("--bench ").skip(1) {
+            let name = word(rest);
+            let target = format!("name = \"{name}\"");
+            assert!(manifest.contains(&target), "{doc}: no [[bench]] `{name}`");
+        }
+        for rest in text.split("BENCH_").skip(1) {
+            let stem = word(rest);
+            if rest[stem.len()..].starts_with(".json") {
+                let file = format!("BENCH_{stem}.json");
+                assert!(root.join(&file).exists(), "{doc} cites {file}, which is not committed");
+            }
+        }
+    }
+}
+
 #[test]
 fn prelude_covers_the_advertised_types() {
     // Every name the prelude promises must exist and be usable.
