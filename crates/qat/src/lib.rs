@@ -96,7 +96,8 @@ pub struct QatConfig {
     /// (costs a snapshot per op; off by default).
     pub meter_energy: bool,
     /// Register-file value representation; see [`backend_registry`] for
-    /// each backend's capabilities. The default is [`StorageBackend::Interned`].
+    /// each backend's capabilities. The default is [`QatConfig::paper`]'s;
+    /// the CLIs and the differential oracle's `DiffConfig` copy it.
     pub backend: StorageBackend,
     /// Allow the dispatcher (the Tangled machine's peephole pass) to hand
     /// straight-line runs of gate instructions to the backend as one
@@ -226,7 +227,7 @@ static BACKENDS: [BackendEntry; 4] = [
     },
     BackendEntry {
         backend: StorageBackend::Interned,
-        description: "hash-consed chunk ids, memoized gates, copy-on-write (default)",
+        description: "hash-consed chunk ids, memoized gates, copy-on-write",
         min_ways: InternedFile::MIN_WAYS,
         max_ways: InternedFile::MAX_WAYS,
         oracle_name: "qat-interned",

@@ -32,8 +32,8 @@ use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
+use tangled_telemetry::export::escape;
 use tangled_telemetry::{bucket_quantile, TraceKind, HISTOGRAM_BUCKETS};
 
 use crate::job::{JobError, JobKind, JobResult, JobSpec};
@@ -52,21 +52,12 @@ pub const RECENT_JOBS: usize = 16;
 /// tail, not megabytes).
 const CRASH_TRACE_CAP: usize = 1024;
 
-/// How often the heartbeat thread wakes to drain queued lines even when
-/// nothing new completed.
-const HEARTBEAT_TICK: Duration = Duration::from_millis(250);
-
 /// Where live snapshot lines are written.
 #[derive(Clone, Debug, Default)]
 pub enum LineSink {
     /// Standard error (the default: stdout stays machine-readable).
     #[default]
     Stderr,
-    /// Standard output.
-    Stdout,
-    /// Format but discard — the bench harness measures recorder overhead
-    /// without terminal noise.
-    Null,
     /// Append to a shared buffer; tests pin byte-stability here.
     Buffer(Arc<Mutex<Vec<u8>>>),
 }
@@ -77,10 +68,6 @@ impl LineSink {
             LineSink::Stderr => {
                 let _ = writeln!(std::io::stderr().lock(), "{line}");
             }
-            LineSink::Stdout => {
-                let _ = writeln!(std::io::stdout().lock(), "{line}");
-            }
-            LineSink::Null => {}
             LineSink::Buffer(buf) => {
                 let mut buf = buf.lock().unwrap();
                 buf.extend_from_slice(line.as_bytes());
@@ -207,13 +194,11 @@ impl FlightRecorder {
         let sink = cfg.sink.clone();
         let writer = std::thread::Builder::new()
             .name("serve-flight".into())
-            .spawn(move || loop {
-                match rx.recv_timeout(HEARTBEAT_TICK) {
-                    Ok(line) => sink.write_line(&line),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        // Idle tick: nothing queued; loop back to park.
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => return,
+            .spawn(move || {
+                // Ends once the sender is dropped and every queued line
+                // is written.
+                for line in rx {
+                    sink.write_line(&line);
                 }
             })
             .expect("spawn flight heartbeat");
@@ -429,24 +414,6 @@ fn words_hex(words: &[u16]) -> String {
     let mut out = String::with_capacity(words.len() * 4);
     for w in words {
         let _ = write!(out, "{w:04x}");
-    }
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
     out
 }

@@ -4,7 +4,7 @@
 //! Turns the one-shot simulators into a throughput machine: clients
 //! submit typed jobs — an assembled program for one model, a program for
 //! the full differential oracle, or a proggen seed to fuzz — and a
-//! work-stealing pool of worker threads executes them on per-job
+//! FIFO pool of worker threads executes them on per-job
 //! [`Machine`](tangled_sim::Machine)s built from the engine and Qat
 //! storage registries, streaming back [`JobResult`]s.
 //!
@@ -38,7 +38,8 @@
 //! accepted job yields exactly one result: worker panics become
 //! [`JobError::Panic`] on that job alone, and [`Pool::discard_queued`]
 //! completes not-yet-started jobs as [`JobError::Cancelled`] rather
-//! than silently dropping them.
+//! than silently dropping them. Jobs start in submission order: the
+//! pool keeps one FIFO queue under one lock.
 //!
 //! ## Determinism
 //!
@@ -128,23 +129,24 @@ mod tests {
         // observe Full, then drain and observe acceptance again.
         let pool = Pool::new(ServeConfig { workers: 1, queue_cap: 2, ..Default::default() });
         let mut accepted = 0;
+        let mut inline = 0;
         let mut saw_full = false;
         for _ in 0..64 {
             match pool.try_submit(diff_job(add_prog())) {
                 Ok(_) => accepted += 1,
                 Err(SubmitError::Full) => {
                     saw_full = true;
-                    let _ = pool.recv_timeout(Duration::from_secs(30));
+                    pool.recv_timeout(Duration::from_secs(30)).expect("a queued job finishes");
+                    inline += 1;
                 }
                 Err(e) => panic!("unexpected {e}"),
             }
         }
         assert!(saw_full, "cap 2 never filled");
-        let results = pool.drain();
-        let total = accepted - results.len();
+        let drained = pool.drain().len();
         // Results collected inline plus drained ones account for every
         // accepted job.
-        assert!(total <= accepted);
+        assert_eq!(inline + drained, accepted);
         assert_eq!(pool.pending(), 0);
     }
 
@@ -157,14 +159,28 @@ mod tests {
         pool.discard_queued();
         let results = pool.drain();
         assert_eq!(results.len(), 16);
-        let cancelled =
-            results.iter().filter(|r| r.result == Err(JobError::Cancelled)).count();
-        let finished = results.len() - cancelled;
-        assert!(finished >= 1 || cancelled >= 1);
+        // One worker takes jobs in submission order, so the jobs it
+        // started before the discard form a prefix of the ids.
+        let (cancelled, finished): (Vec<&JobResult>, Vec<&JobResult>) =
+            results.iter().partition(|r| r.result == Err(JobError::Cancelled));
+        if let (Some(last), Some(first)) = (finished.last(), cancelled.first()) {
+            assert!(last.id < first.id, "job {} ran after job {} was cancelled", last.id, first.id);
+        }
         // Ids are dense: nothing dropped, nothing duplicated.
         for (ix, r) in results.iter().enumerate() {
             assert_eq!(r.id, ix as u64);
         }
+    }
+
+    #[test]
+    fn one_worker_returns_results_in_submission_order() {
+        let pool = Pool::new(ServeConfig { workers: 1, queue_cap: 64, ..Default::default() });
+        let ids: Vec<u64> = (0..8).map(|_| pool.submit(diff_job(add_prog())).unwrap()).collect();
+        for id in ids {
+            let r = pool.recv_timeout(Duration::from_secs(30)).expect("result");
+            assert_eq!(r.id, id);
+        }
+        assert!(pool.drain().is_empty());
     }
 
     #[test]

@@ -1,38 +1,33 @@
-//! The work-stealing worker pool.
+//! The worker pool: one FIFO job queue and one results queue, both
+//! owned by the pool's single `state` mutex.
 //!
-//! Topology is the classic crossbeam arrangement: one global
-//! [`Injector`] that `submit` pushes to, one local FIFO [`Worker`] deque
-//! per thread, and a [`Stealer`] onto every local deque so idle workers
-//! can steal from busy ones. A worker looks for work local-first, then
-//! batches from the injector, then steals from siblings; with nothing
-//! anywhere it parks on a condvar with a 50 ms re-check so a lost wakeup
-//! can only cost one tick, never a deadlock.
+//! `submit` pushes an accepted job to the back of the queue. A worker
+//! pops the oldest job and reads the discard flag in one critical
+//! section, runs the job outside the lock, then publishes the result and
+//! releases the job's capacity in another. Jobs therefore start in
+//! submission order. Every state change a thread waits for is made under
+//! the lock and followed by a notify, so workers, blocked submitters and
+//! [`Pool::drain`] wait on their condvars without a timeout.
 //!
 //! ## Accounting invariant
 //!
 //! Every accepted submission produces **exactly one** [`JobResult`] —
 //! panicking jobs yield [`JobError::Panic`], discarded jobs yield
 //! [`JobError::Cancelled`]. `pending` counts accepted-but-undelivered
-//! jobs and is decremented only *after* the result is visible in the
-//! results queue, so [`Pool::drain`] observing `pending == 0` has seen
-//! every result.
+//! jobs and is decremented in the critical section that makes the result
+//! visible, so [`Pool::drain`] observing `pending == 0` has seen every
+//! result.
 
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use std::time::Duration;
 
 use tangled_telemetry::Gauge;
 
 use crate::flight::{FlightConfig, FlightRecorder};
 use crate::job::{execute, JobError, JobResult, JobSpec, ModelResolver};
-
-/// How long a worker with no visible work sleeps before re-checking the
-/// queues. Bounds shutdown latency and missed-wakeup recovery.
-const PARK_TICK: Duration = Duration::from_millis(50);
 
 /// Jobs accepted but not yet picked up by a worker.
 static QUEUE_DEPTH: Gauge = Gauge::new("serve.pool.queue_depth");
@@ -105,19 +100,21 @@ struct Job {
 
 #[derive(Default)]
 struct State {
+    /// Accepted jobs no worker has picked up yet, oldest first.
+    jobs: VecDeque<Job>,
+    /// Delivered results no client has collected yet.
+    results: VecDeque<JobResult>,
     /// Accepted jobs whose result has not yet been delivered.
     pending: usize,
     /// Monotonic id source for accepted jobs.
     next_id: u64,
-    /// Submissions are rejected and workers exit once idle.
+    /// Submissions are rejected and workers exit once the queue is empty.
     shutdown: bool,
     /// Queued (not yet started) jobs complete as [`JobError::Cancelled`].
     discard: bool,
 }
 
 struct Shared {
-    injector: Injector<Job>,
-    stealers: Vec<Stealer<Job>>,
     resolve: ModelResolver,
     flight: Option<FlightRecorder>,
     state: Mutex<State>,
@@ -125,24 +122,25 @@ struct Shared {
     work_cv: Condvar,
     /// Blocked submitters park here; signalled when `pending` drops.
     space_cv: Condvar,
-    results: Mutex<VecDeque<JobResult>>,
     /// Consumers park here; signalled on every delivered result.
     results_cv: Condvar,
 }
 
 impl Shared {
-    fn queues_empty(&self) -> bool {
-        self.injector.is_empty() && self.stealers.iter().all(|s| s.is_empty())
+    /// The pool's one lock. No code panics while holding it.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("serve pool state lock poisoned")
     }
 
-    /// Publish a result and release one unit of queue capacity. The
-    /// ordering (result first, `pending` decrement second) is what makes
-    /// `pending == 0` mean "all results visible".
+    /// Publish a result and release one unit of queue capacity in one
+    /// critical section, so `pending == 0` means "all results visible".
     fn deliver(&self, result: JobResult) {
-        self.results.lock().unwrap().push_back(result);
-        self.results_cv.notify_all();
-        self.state.lock().unwrap().pending -= 1;
+        let mut st = self.lock();
+        st.results.push_back(result);
+        st.pending -= 1;
+        drop(st);
         IN_FLIGHT.dec();
+        self.results_cv.notify_all();
         self.space_cv.notify_all();
     }
 }
@@ -159,27 +157,20 @@ impl Pool {
     /// Spawn `cfg.workers` threads and return the handle used to submit
     /// jobs and collect results.
     pub fn new(cfg: ServeConfig) -> Pool {
-        let workers = cfg.workers.max(1);
-        let locals: Vec<Worker<Job>> = (0..workers).map(|_| Worker::new_fifo()).collect();
         let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers: locals.iter().map(Worker::stealer).collect(),
             resolve: cfg.resolve_model,
             flight: cfg.flight.map(FlightRecorder::new),
             state: Mutex::new(State::default()),
             work_cv: Condvar::new(),
             space_cv: Condvar::new(),
-            results: Mutex::new(VecDeque::new()),
             results_cv: Condvar::new(),
         });
-        let handles = locals
-            .into_iter()
-            .enumerate()
-            .map(|(ix, local)| {
+        let handles = (0..cfg.workers.max(1))
+            .map(|ix| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{ix}"))
-                    .spawn(move || worker_loop(ix, &shared, &local))
+                    .spawn(move || worker_loop(ix, &shared))
                     .expect("spawn serve worker")
             })
             .collect();
@@ -191,88 +182,68 @@ impl Pool {
         self.handles.len()
     }
 
-    /// Accepted jobs whose results have not been collected yet.
+    /// Accepted jobs whose results have not been delivered yet.
     pub fn pending(&self) -> usize {
-        self.shared.state.lock().unwrap().pending
+        self.shared.lock().pending
     }
 
     /// Submit a job, blocking while the pool is at capacity.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, SubmitError> {
-        let mut st = self.shared.state.lock().unwrap();
-        while !st.shutdown && st.pending >= self.queue_cap {
-            st = self.shared.space_cv.wait(st).unwrap();
-        }
+        let st = self.shared.lock();
+        let st = self
+            .shared
+            .space_cv
+            .wait_while(st, |st| !st.shutdown && st.pending >= self.queue_cap)
+            .expect("serve pool state lock poisoned");
         self.accept(st, spec)
     }
 
     /// Submit a job without blocking; [`SubmitError::Full`] applies
     /// back-pressure to the producer.
     pub fn try_submit(&self, spec: JobSpec) -> Result<u64, SubmitError> {
-        let st = self.shared.state.lock().unwrap();
+        let st = self.shared.lock();
         if !st.shutdown && st.pending >= self.queue_cap {
             return Err(SubmitError::Full);
         }
         self.accept(st, spec)
     }
 
-    fn accept(
-        &self,
-        mut st: std::sync::MutexGuard<'_, State>,
-        spec: JobSpec,
-    ) -> Result<u64, SubmitError> {
+    fn accept(&self, mut st: MutexGuard<'_, State>, spec: JobSpec) -> Result<u64, SubmitError> {
         if st.shutdown {
             return Err(SubmitError::ShutDown);
         }
         st.pending += 1;
         let id = st.next_id;
         st.next_id += 1;
-        // Push under the state lock (lock order state -> injector, same as
-        // the workers' exit check) so a racing shutdown can never observe
-        // `pending > 0` with the job not yet visible in a queue.
-        self.shared.injector.push(Job { id, spec });
+        st.jobs.push_back(Job { id, spec });
         QUEUE_DEPTH.inc();
         drop(st);
         self.shared.work_cv.notify_one();
         Ok(id)
     }
 
-    /// Take one finished result if any is ready (non-blocking).
-    pub fn poll(&self) -> Option<JobResult> {
-        self.shared.results.lock().unwrap().pop_front()
-    }
-
     /// Take one finished result, waiting up to `timeout` for it.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<JobResult> {
-        let deadline = Instant::now() + timeout;
-        let mut q = self.shared.results.lock().unwrap();
-        loop {
-            if let Some(r) = q.pop_front() {
-                return Some(r);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self.shared.results_cv.wait_timeout(q, deadline - now).unwrap();
-            q = guard;
-        }
+        let st = self.shared.lock();
+        let (mut st, _) = self
+            .shared
+            .results_cv
+            .wait_timeout_while(st, timeout, |st| st.results.is_empty())
+            .expect("serve pool state lock poisoned");
+        st.results.pop_front()
     }
 
     /// Block until every accepted job has delivered a result, returning
     /// all uncollected results in submission (id) order.
     pub fn drain(&self) -> Vec<JobResult> {
-        let mut out = Vec::new();
-        loop {
-            let pending = self.shared.state.lock().unwrap().pending;
-            out.extend(self.shared.results.lock().unwrap().drain(..));
-            if pending == 0 {
-                break;
-            }
-            let q = self.shared.results.lock().unwrap();
-            if q.is_empty() {
-                let _ = self.shared.results_cv.wait_timeout(q, PARK_TICK).unwrap();
-            }
-        }
+        let st = self.shared.lock();
+        let mut st = self
+            .shared
+            .results_cv
+            .wait_while(st, |st| st.pending > 0)
+            .expect("serve pool state lock poisoned");
+        let mut out: Vec<JobResult> = st.results.drain(..).collect();
+        drop(st);
         out.sort_by_key(|r| r.id);
         out
     }
@@ -282,23 +253,15 @@ impl Pool {
     /// stays exact. Jobs already executing finish normally — this is the
     /// SIGINT path: stop starting work, keep every result.
     pub fn discard_queued(&self) {
-        self.shared.state.lock().unwrap().discard = true;
-        self.shared.work_cv.notify_all();
+        self.shared.lock().discard = true;
     }
 
     /// Graceful shutdown: reject new submissions, let workers drain the
     /// queue (or cancel it, after [`Pool::discard_queued`]), and join
     /// them. Returns any uncollected results. Also performed by `Drop`.
     pub fn shutdown(mut self) -> Vec<JobResult> {
-        self.begin_shutdown();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(flight) = &self.shared.flight {
-            flight.finish();
-        }
-        let mut out: Vec<JobResult> =
-            self.shared.results.lock().unwrap().drain(..).collect();
+        self.stop();
+        let mut out: Vec<JobResult> = self.shared.lock().results.drain(..).collect();
         out.sort_by_key(|r| r.id);
         out
     }
@@ -313,16 +276,13 @@ impl Pool {
         self.shared.flight.as_ref()?.write_crash_bundle(reason, None)
     }
 
-    fn begin_shutdown(&self) {
-        self.shared.state.lock().unwrap().shutdown = true;
+    /// Reject new submissions, wake every waiter, join the workers once
+    /// they have emptied the queue, and flush the flight recorder.
+    /// Idempotent: `shutdown` and then `Drop` both run it.
+    fn stop(&mut self) {
+        self.shared.lock().shutdown = true;
         self.shared.work_cv.notify_all();
         self.shared.space_cv.notify_all();
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        self.begin_shutdown();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -332,31 +292,10 @@ impl Drop for Pool {
     }
 }
 
-/// Local-first, then injector batch, then sibling steal — retrying while
-/// any source reports contention.
-fn find_job(shared: &Shared, local: &Worker<Job>) -> Option<Job> {
-    if let Some(job) = local.pop() {
-        return Some(job);
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.stop();
     }
-    loop {
-        match shared.injector.steal_batch_and_pop(local) {
-            Steal::Success(job) => return Some(job),
-            Steal::Empty => break,
-            Steal::Retry => std::hint::spin_loop(),
-        }
-    }
-    let mut contended = true;
-    while contended {
-        contended = false;
-        for stealer in &shared.stealers {
-            match stealer.steal() {
-                Steal::Success(job) => return Some(job),
-                Steal::Empty => {}
-                Steal::Retry => contended = true,
-            }
-        }
-    }
-    None
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -369,60 +308,57 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn worker_loop(ix: usize, shared: &Shared, local: &Worker<Job>) {
+fn worker_loop(ix: usize, shared: &Shared) {
     loop {
-        if let Some(job) = find_job(shared, local) {
-            QUEUE_DEPTH.dec();
-            IN_FLIGHT.inc();
-            let discard = shared.state.lock().unwrap().discard;
-            let result = if discard {
-                JobResult {
-                    id: job.id,
-                    label: job.spec.label.clone(),
-                    worker: ix,
-                    metrics: tangled_telemetry::Snapshot::default(),
-                    result: Err(JobError::Cancelled),
-                }
-            } else {
-                // The scope captures only this thread's telemetry; the
-                // panic is caught *inside* it so a dying job still
-                // reports the metrics it recorded before the panic.
-                WORKERS_BUSY.inc();
-                let (caught, metrics) = tangled_telemetry::scoped(|| {
-                    std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        execute(&job.spec, shared.resolve)
-                    }))
-                });
-                WORKERS_BUSY.dec();
-                JobResult {
-                    id: job.id,
-                    label: job.spec.label.clone(),
-                    worker: ix,
-                    metrics,
-                    result: match caught {
-                        Ok(r) => r,
-                        Err(payload) => Err(JobError::Panic(panic_message(payload))),
-                    },
-                }
-            };
-            if let Some(flight) = &shared.flight {
-                // A panicking job writes its post-mortem before the
-                // result is published (the bundle's recent-completed
-                // list therefore excludes the dying job itself).
-                if matches!(result.result, Err(JobError::Panic(_))) {
-                    let _ = flight.write_crash_bundle("panic", Some((&job.spec, &result)));
-                }
-                flight.note_completed(&job.spec, &result);
+        let st = shared.lock();
+        let mut st = shared
+            .work_cv
+            .wait_while(st, |st| st.jobs.is_empty() && !st.shutdown)
+            .expect("serve pool state lock poisoned");
+        // An empty queue here means shutdown: every accepted job has
+        // been picked up.
+        let Some(job) = st.jobs.pop_front() else { return };
+        let discard = st.discard;
+        drop(st);
+        QUEUE_DEPTH.dec();
+        IN_FLIGHT.inc();
+        let result = if discard {
+            JobResult {
+                id: job.id,
+                label: job.spec.label.clone(),
+                worker: ix,
+                metrics: tangled_telemetry::Snapshot::default(),
+                result: Err(JobError::Cancelled),
             }
-            shared.deliver(result);
-            continue;
+        } else {
+            // The scope captures only this thread's telemetry; the panic
+            // is caught *inside* it so a dying job still reports the
+            // metrics it recorded before the panic.
+            WORKERS_BUSY.inc();
+            let (caught, metrics) = tangled_telemetry::scoped(|| {
+                std::panic::catch_unwind(AssertUnwindSafe(|| execute(&job.spec, shared.resolve)))
+            });
+            WORKERS_BUSY.dec();
+            JobResult {
+                id: job.id,
+                label: job.spec.label.clone(),
+                worker: ix,
+                metrics,
+                result: match caught {
+                    Ok(r) => r,
+                    Err(payload) => Err(JobError::Panic(panic_message(payload))),
+                },
+            }
+        };
+        if let Some(flight) = &shared.flight {
+            // A panicking job writes its post-mortem before the result
+            // is published (the bundle's recent-completed list therefore
+            // excludes the dying job itself).
+            if matches!(result.result, Err(JobError::Panic(_))) {
+                let _ = flight.write_crash_bundle("panic", Some((&job.spec, &result)));
+            }
+            flight.note_completed(&job.spec, &result);
         }
-        let st = shared.state.lock().unwrap();
-        if st.shutdown && shared.queues_empty() {
-            return;
-        }
-        // Parked until new work or shutdown; the tick re-checks in case a
-        // wakeup raced the empty-queue observation above.
-        let _ = shared.work_cv.wait_timeout(st, PARK_TICK).unwrap();
+        shared.deliver(result);
     }
 }

@@ -105,7 +105,7 @@ impl Default for DiffConfig {
         DiffConfig {
             ways: 8,
             constant_registers: false,
-            backend: StorageBackend::Interned,
+            backend: QatConfig::paper().backend,
             max_steps: 200_000,
         }
     }

@@ -28,7 +28,10 @@ pub struct MetricsDoc<'a> {
     pub trace_dropped: u64,
 }
 
-fn escape(s: &str, out: &mut String) {
+/// `s` as the body of a JSON string literal: quotes, backslashes and
+/// control characters escaped, everything else verbatim.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -42,6 +45,7 @@ fn escape(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
+    out
 }
 
 /// Render the stable `tangled-metrics/v2` JSON document.
@@ -73,7 +77,7 @@ pub fn metrics_json(doc: &MetricsDoc) -> String {
         }
         first = false;
         out.push_str("\n    \"");
-        escape(name, &mut out);
+        out.push_str(&escape(name));
         let _ = write!(out, "\": {value}");
     }
     if !first {
@@ -89,7 +93,7 @@ pub fn metrics_json(doc: &MetricsDoc) -> String {
         }
         first = false;
         out.push_str("\n    \"");
-        escape(&name, &mut out);
+        out.push_str(&escape(&name));
         let _ = write!(
             out,
             "\": {{ \"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {} }}",
@@ -133,8 +137,7 @@ pub fn chrome_trace(log: &TraceLog, threads: &[(u32, &str)]) -> String {
         &mut out,
     );
     for (tid, name) in threads {
-        let mut escaped = String::new();
-        escape(name, &mut escaped);
+        let escaped = escape(name);
         push_event(
             format!(
                 "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
@@ -151,10 +154,8 @@ pub fn chrome_trace(log: &TraceLog, threads: &[(u32, &str)]) -> String {
         );
     }
     for ev in &log.events {
-        let mut name = String::new();
-        escape(ev.name, &mut name);
-        let mut cat = String::new();
-        escape(ev.cat, &mut cat);
+        let name = escape(ev.name);
+        let cat = escape(ev.cat);
         let line = match ev.kind {
             TraceKind::Complete => format!(
                 "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"pid\":1,\

@@ -4,7 +4,7 @@
 //! seeds through the full differential oracle (functional vs multi-cycle
 //! vs 4/5-stage pipelines, with periodic `qsim` state-vector and PBP
 //! word-level cross-checks of the Qat register file). Both phases fan
-//! out over the `tangled-serve` work-stealing pool (`--workers`), with
+//! out over the `tangled-serve` FIFO worker pool (`--workers`), with
 //! divergences minimized on the workers and written to a shared,
 //! deduplicated corpus as reassemblable `.s` files. Exit status 0 means
 //! zero divergences; SIGINT drains in-flight jobs, reports, and exits
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use tangled_qat::asm;
 use tangled_qat::isa::{disassemble, Insn};
-use tangled_qat::qat::StorageBackend;
+use tangled_qat::qat::{QatConfig, StorageBackend};
 use tangled_qat::runner;
 use tangled_qat::serve::{JobError, JobKind, JobResult, JobSpec, Pool, ServeConfig};
 use tangled_qat::sim::difftest::{
@@ -67,7 +67,7 @@ impl Default for Args {
             start_seed: 1,
             len: 60,
             ways: 8,
-            backend: StorageBackend::Interned,
+            backend: QatConfig::paper().backend,
             profile: None,
             corpus: PathBuf::from("fuzz/corpus"),
             replay: true,

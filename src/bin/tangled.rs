@@ -105,7 +105,7 @@ impl Default for RunOpts {
         RunOpts {
             ways: 16,
             model: "pipeline-4-fw".to_string(),
-            qat_backend: StorageBackend::Interned,
+            qat_backend: QatConfig::paper().backend,
             trace: false,
             regs: false,
             macros: false,
@@ -316,7 +316,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut paths: Vec<&String> = Vec::new();
     let mut workers = 2usize;
     let mut ways = 16u32;
-    let mut backend = StorageBackend::Interned;
+    let mut backend = QatConfig::paper().backend;
     let mut model: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut live_interval: Option<u64> = None;
@@ -564,13 +564,15 @@ fn cmd_backends() -> Result<(), String> {
         println!("  {:<16} {:<16} {}", e.name, role, e.description);
     }
     println!("qat storage backends (--qat-backend):");
+    let default = QatConfig::paper().backend;
     for b in qat::backend_registry() {
         println!(
-            "  {:<16} ways {:>2}..={:<2}    {}",
+            "  {:<16} ways {:>2}..={:<2}    {}{}",
             b.backend.name(),
             b.min_ways,
             b.max_ways,
-            b.description
+            b.description,
+            if b.backend == default { " (default)" } else { "" }
         );
     }
     Ok(())

@@ -218,6 +218,24 @@ fn serve_runs_jobs_across_workers() {
 /// A degree outside the backend's range, or past `aob::MAX_WAYS` (a job
 /// captures every register as an explicit vector), is a usage error
 /// before any job starts, not a panicking job.
+/// Every default Qat backend is `QatConfig::paper()`'s: the differential
+/// oracle's `DiffConfig` and the one entry `tangled backends` marks.
+#[test]
+fn backends_marks_the_paper_default() {
+    use tangled_qat::qat::QatConfig;
+    use tangled_qat::sim::difftest::DiffConfig;
+    let default = QatConfig::paper().backend;
+    assert_eq!(DiffConfig::default().backend, default);
+    let (stdout, _, ok) = tangled(&["backends"]);
+    assert!(ok);
+    let marked: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.ends_with(" (default)"))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(marked, [default.name()], "{stdout}");
+}
+
 #[test]
 fn serve_rejects_unsupported_ways() {
     let path = asm_path("counting.s");

@@ -162,9 +162,9 @@ fn live_lines_are_byte_stable_at_one_worker() {
 
 #[test]
 fn worker_attribution_is_the_only_varying_field() {
-    // Sanity outside proptest: with 4 workers more than one worker index
-    // appears across a large-enough set (work stealing actually spreads
-    // jobs), while ids stay dense and sorted.
+    // Sanity outside proptest: at 4 workers each result names one of the
+    // pool's workers (which worker ran which job may differ run to run),
+    // while ids stay dense and sorted.
     telemetry::set_mode(telemetry::Mode::Counters);
     let jobs: Vec<JobSpec> = (0..16)
         .map(|i| {

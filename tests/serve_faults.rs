@@ -193,7 +193,7 @@ fn panic_writes_a_parseable_crash_bundle() {
         flight: Some(FlightConfig {
             interval: 0,
             crash_dir: Some(dir.clone()),
-            sink: LineSink::Null,
+            sink: LineSink::Buffer(Default::default()),
         }),
         ..Default::default()
     });
