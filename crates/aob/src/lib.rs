@@ -44,7 +44,6 @@
 pub mod adaptive;
 pub mod bitvec;
 pub mod energy;
-pub mod entropy;
 pub mod gates;
 pub mod hadamard;
 pub mod intern;
@@ -55,7 +54,6 @@ pub mod warm;
 pub use adaptive::AdaptiveFile;
 pub use bitvec::{Aob, MAX_WAYS};
 pub use energy::{EnergyMeter, EnergyModel};
-pub use entropy::EntropyReport;
 pub use intern::{ChunkId, ChunkStore, GateOp, InternStats, ID_ONE, ID_ZERO};
 pub use warm::WarmStoreId;
 pub use storage::{

@@ -86,7 +86,8 @@ pub struct PackedStats {
     pub flat_words: u64,
     /// `u32` command words the packed hybrid encoding occupies.
     pub packed_words: u64,
-    /// `Repeat` commands emitted by the cross-symbol periodicity pass.
+    /// Always 0: the packed encoding has no back-reference commands.
+    /// Kept because the benchmark package still reads it.
     pub repeats: u64,
 }
 

@@ -2,11 +2,9 @@
 //!
 //! A flat `Vec<Run>` spends 16 bytes per run (a 4-byte interned symbol id,
 //! padding, and an 8-byte chunk length) even though almost every run in
-//! practice is "a few all-zeros chunks" or "a few all-ones chunks", and
-//! structured states (Hadamard banks, shifted constants) repeat whole
-//! *sequences* of runs. [`PackedRuns`] stores a period as a sequence of
-//! little `u32` command words instead, with the command tag packed into
-//! the low 3 bits:
+//! practice is "a few all-zeros chunks" or "a few all-ones chunks".
+//! [`PackedRuns`] stores a period as a sequence of little `u32` command
+//! words instead, with the command tag packed into the low 3 bits:
 //!
 //! | tag | name     | payload (`w >> 3`, 29 bits) | extra word           |
 //! |-----|----------|-----------------------------|----------------------|
@@ -14,8 +12,7 @@
 //! | 1   | `Ones`   | run length in chunks        | —                    |
 //! | 2   | `Lit`    | symbol id                   | — (single chunk)     |
 //! | 3   | `LitRun` | run length in chunks        | raw symbol id        |
-//! | 4   | `Repeat` | length in runs              | start run index      |
-//! | 5   | `Extend` | extra chunks                | — (grows prior run)  |
+//! | 4   | `Extend` | extra chunks                | — (grows prior run)  |
 //!
 //! so the common constant runs cost one word (4 bytes, a 4x saving), a
 //! single odd chunk costs one word, and an arbitrary run costs two.
@@ -28,31 +25,10 @@
 //! symbol whose raw id does not fit 29 bits uses the two-word `LitRun`
 //! form instead of `Lit`.
 //!
-//! **RepeatFinder.** Before encoding, a greedy LZ pass factors the run
-//! list against itself: `Repeat { start, len }` re-emits `len`
-//! already-decoded runs beginning at logical run index `start`. Matches
-//! are found with an incrementally maintained sorted suffix table
-//! (binary-search insertion, longest-common-prefix check against the two
-//! lexicographic neighbors — the Aureole `RepeatFinder` construction, at
-//! run-token granularity). This is what makes cross-symbol periodicity —
-//! a Hadamard bank's `(0^a 1^a)` cadence interleaved with other
-//! structure — compress *superlinearly*: each repeat command can cover
-//! every run seen so far, so `n` repetitions of a motif cost `O(log n)`
-//! commands instead of `O(n)` runs.
-//!
-//! Invariants the encoder maintains (and the tests pin):
-//!
-//! * **Exactness** — `decode(pack(runs)) == runs` for every run list
-//!   (repeats are token-aligned and copy `Run` structs verbatim, so no
-//!   resplitting or remerging can occur).
-//! * **Back-reference** — a `Repeat`'s `start` is always strictly below
-//!   the current logical run index; self-overlapping repeats
-//!   (`start + len` past the current index) are legal and decode
-//!   run-by-run, exactly like LZ77.
-//! * **Determinism** — packing is a pure function of the run list: equal
-//!   run lists produce identical words, so the derived equality on
-//!   [`PackedRuns`] coincides with run-list equality and corpus replays
-//!   are bit-stable.
+//! Every run encodes on its own, so the words are a pure function of the
+//! run list: `decode(pack(runs)) == runs`, and equal run lists produce
+//! identical words, so the derived equality on [`PackedRuns`] coincides
+//! with run-list equality and corpus replays are bit-stable.
 
 use crate::re::Run;
 use crate::{Sym, SYM_ONE, SYM_ZERO};
@@ -66,19 +42,7 @@ const TAG_ZEROS: u32 = 0;
 const TAG_ONES: u32 = 1;
 const TAG_LIT: u32 = 2;
 const TAG_LIT_RUN: u32 = 3;
-const TAG_REPEAT: u32 = 4;
-const TAG_EXTEND: u32 = 5;
-
-/// A repeat must cover at least this many runs to be emitted (a repeat
-/// costs two words; three constant runs cost three).
-const MIN_REPEAT_RUNS: usize = 3;
-/// Run lists longer than this skip the repeat pass entirely (the storage
-/// win is already enormous at this size and the suffix table's insertion
-/// cost would dominate encode time).
-const MAX_FINDER_RUNS: usize = 1 << 13;
-/// Suffix comparisons stop after this many tokens; ties break by
-/// position, keeping the table's order total and deterministic.
-const MAX_CMP_DEPTH: usize = 512;
+const TAG_EXTEND: u32 = 4;
 
 /// A period's run list in the packed hybrid encoding. See the module
 /// docs for the format.
@@ -87,7 +51,6 @@ pub struct PackedRuns {
     words: Vec<u32>,
     runs: u32,
     chunks: u64,
-    repeats: u32,
 }
 
 impl PackedRuns {
@@ -95,28 +58,13 @@ impl PackedRuns {
     /// length non-zero — the RE layer's canonical form).
     pub fn pack(runs: &[Run]) -> PackedRuns {
         debug_assert!(runs.iter().all(|r| r.len > 0));
-        let chunks: u64 = runs.iter().map(|r| r.len).sum();
         let mut words = Vec::with_capacity(runs.len());
-        let mut repeats = 0u32;
-        let mut i = 0usize;
-        let mut finder = RepeatFinder::new(runs);
-        while i < runs.len() {
-            match finder.longest_match(i) {
-                Some((start, len)) => {
-                    words.push(TAG_REPEAT | ((len as u32) << TAG_BITS));
-                    words.push(start as u32);
-                    repeats += 1;
-                    finder.commit(i, len);
-                    i += len;
-                }
-                None => {
-                    encode_run(&mut words, runs[i]);
-                    finder.commit(i, 1);
-                    i += 1;
-                }
-            }
+        let mut chunks = 0u64;
+        for &r in runs {
+            encode_run(&mut words, r);
+            chunks += r.len;
         }
-        PackedRuns { words, runs: runs.len() as u32, chunks, repeats }
+        PackedRuns { words, runs: runs.len() as u32, chunks }
     }
 
     /// Logical (decoded) run count.
@@ -134,56 +82,14 @@ impl PackedRuns {
         self.words.len()
     }
 
-    /// `Repeat` commands in the stored stream.
-    pub fn repeat_commands(&self) -> usize {
-        self.repeats as usize
-    }
-
     /// Expand back to the flat run list.
     pub fn decode(&self) -> Vec<Run> {
-        let mut out: Vec<Run> = Vec::with_capacity(self.runs as usize);
-        let mut k = 0usize;
-        while k < self.words.len() {
-            let w = self.words[k];
-            let tag = w & ((1 << TAG_BITS) - 1);
-            let payload = (w >> TAG_BITS) as u64;
-            match tag {
-                TAG_ZEROS => out.push(Run { sym: SYM_ZERO, len: payload }),
-                TAG_ONES => out.push(Run { sym: SYM_ONE, len: payload }),
-                TAG_LIT => {
-                    out.push(Run { sym: Sym::from_raw(payload as u32), len: 1 })
-                }
-                TAG_LIT_RUN => {
-                    k += 1;
-                    out.push(Run { sym: Sym::from_raw(self.words[k]), len: payload });
-                }
-                TAG_REPEAT => {
-                    k += 1;
-                    let start = self.words[k] as usize;
-                    // May self-overlap: copy run-by-run so later source
-                    // indices read runs this very command produced.
-                    for t in 0..payload as usize {
-                        let r = out[start + t];
-                        out.push(r);
-                    }
-                }
-                TAG_EXTEND => out.last_mut().expect("extend follows a run").len += payload,
-                _ => unreachable!("tag {tag}"),
-            }
-            k += 1;
-        }
-        out
+        self.iter().collect()
     }
 
-    /// Iterate the logical runs. Streams straight off the command words
-    /// when no `Repeat` is present (the common case for small periods);
-    /// otherwise decodes once and drains the buffer.
+    /// Iterate the logical runs, streaming straight off the command words.
     pub fn iter(&self) -> RunIter<'_> {
-        if self.repeats == 0 {
-            RunIter(IterInner::Stream { words: &self.words, k: 0 })
-        } else {
-            RunIter(IterInner::Buffered(self.decode().into_iter()))
-        }
+        RunIter { words: &self.words, k: 0 }
     }
 }
 
@@ -209,137 +115,40 @@ fn encode_run(words: &mut Vec<u32>, r: Run) {
 }
 
 /// Iterator over a [`PackedRuns`]'s logical runs.
-pub struct RunIter<'a>(IterInner<'a>);
-
-enum IterInner<'a> {
-    Stream { words: &'a [u32], k: usize },
-    Buffered(std::vec::IntoIter<Run>),
+pub struct RunIter<'a> {
+    words: &'a [u32],
+    k: usize,
 }
 
 impl Iterator for RunIter<'_> {
     type Item = Run;
 
     fn next(&mut self) -> Option<Run> {
-        match &mut self.0 {
-            IterInner::Buffered(it) => it.next(),
-            IterInner::Stream { words, k } => {
-                if *k >= words.len() {
-                    return None;
-                }
-                let w = words[*k];
-                let tag = w & ((1 << TAG_BITS) - 1);
-                let payload = (w >> TAG_BITS) as u64;
-                *k += 1;
-                let mut run = match tag {
-                    TAG_ZEROS => Run { sym: SYM_ZERO, len: payload },
-                    TAG_ONES => Run { sym: SYM_ONE, len: payload },
-                    TAG_LIT => Run { sym: Sym::from_raw(payload as u32), len: 1 },
-                    TAG_LIT_RUN => {
-                        let sym = Sym::from_raw(words[*k]);
-                        *k += 1;
-                        Run { sym, len: payload }
-                    }
-                    _ => unreachable!("stream iteration only without repeats"),
-                };
-                // Fold any spill continuation into the logical run.
-                while *k < words.len()
-                    && words[*k] & ((1 << TAG_BITS) - 1) == TAG_EXTEND
-                {
-                    run.len += (words[*k] >> TAG_BITS) as u64;
-                    *k += 1;
-                }
-                Some(run)
+        let words = self.words;
+        let &w = words.get(self.k)?;
+        let tag = w & ((1 << TAG_BITS) - 1);
+        let payload = (w >> TAG_BITS) as u64;
+        self.k += 1;
+        let mut run = match tag {
+            TAG_ZEROS => Run { sym: SYM_ZERO, len: payload },
+            TAG_ONES => Run { sym: SYM_ONE, len: payload },
+            TAG_LIT => Run { sym: Sym::from_raw(payload as u32), len: 1 },
+            TAG_LIT_RUN => {
+                let sym = Sym::from_raw(words[self.k]);
+                self.k += 1;
+                Run { sym, len: payload }
             }
-        }
-    }
-}
-
-/// Greedy LZ matcher over run tokens, backed by an incrementally built
-/// sorted suffix table.
-struct RepeatFinder<'a> {
-    toks: &'a [Run],
-    /// Suffix start positions, kept sorted by (capped) lexicographic
-    /// order of `toks[p..]`. Only positions already emitted (strictly
-    /// below the encoder's cursor) are present, so every match is a
-    /// legal back-reference.
-    table: Vec<u32>,
-    enabled: bool,
-}
-
-impl<'a> RepeatFinder<'a> {
-    fn new(toks: &'a [Run]) -> Self {
-        let enabled = toks.len() > MIN_REPEAT_RUNS && toks.len() <= MAX_FINDER_RUNS;
-        RepeatFinder { toks, table: Vec::new(), enabled }
-    }
-
-    /// Capped lexicographic order of the suffixes at `a` and `b`, ties
-    /// broken by position so the table's order is total.
-    fn cmp_suffix(&self, a: usize, b: usize) -> std::cmp::Ordering {
-        let toks = self.toks;
-        for d in 0..MAX_CMP_DEPTH {
-            match (toks.get(a + d), toks.get(b + d)) {
-                (Some(x), Some(y)) => {
-                    let o = (x.sym.raw(), x.len).cmp(&(y.sym.raw(), y.len));
-                    if o != std::cmp::Ordering::Equal {
-                        return o;
-                    }
-                }
-                (None, None) => break,
-                (None, Some(_)) => return std::cmp::Ordering::Less,
-                (Some(_), None) => return std::cmp::Ordering::Greater,
+            _ => unreachable!("tag {tag} cannot start a run"),
+        };
+        // Fold any spill continuation into the logical run.
+        while let Some(&w) = words.get(self.k) {
+            if w & ((1 << TAG_BITS) - 1) != TAG_EXTEND {
+                break;
             }
+            run.len += (w >> TAG_BITS) as u64;
+            self.k += 1;
         }
-        a.cmp(&b)
-    }
-
-    /// Common-prefix length of the suffixes at `i` and `j`, capped at the
-    /// end of the token list and the command payload width.
-    fn lcp(&self, i: usize, j: usize) -> usize {
-        let toks = self.toks;
-        let cap = (toks.len() - i).min(MAX_PAYLOAD as usize);
-        let mut n = 0;
-        while n < cap && j + n < toks.len() && toks[i + n] == toks[j + n] {
-            n += 1;
-        }
-        n
-    }
-
-    /// Longest back-reference for the suffix starting at `i`, as
-    /// `(start, len)` with `start < i`, or `None` when no match clears
-    /// [`MIN_REPEAT_RUNS`].
-    fn longest_match(&self, i: usize) -> Option<(usize, usize)> {
-        if !self.enabled || self.table.is_empty() {
-            return None;
-        }
-        let ins = self
-            .table
-            .binary_search_by(|&p| self.cmp_suffix(p as usize, i))
-            .unwrap_or_else(|e| e);
-        let mut best = (0usize, 0usize);
-        for cand in [ins.checked_sub(1), Some(ins)].into_iter().flatten() {
-            if let Some(&p) = self.table.get(cand) {
-                let l = self.lcp(i, p as usize);
-                if l > best.1 {
-                    best = (p as usize, l);
-                }
-            }
-        }
-        (best.1 >= MIN_REPEAT_RUNS).then_some(best)
-    }
-
-    /// Record that positions `i..i + n` have been emitted (literally or
-    /// via a repeat), making their suffixes eligible match sources.
-    fn commit(&mut self, i: usize, n: usize) {
-        if !self.enabled {
-            return;
-        }
-        for p in i..i + n {
-            let ins = self
-                .table
-                .binary_search_by(|&q| self.cmp_suffix(q as usize, p))
-                .unwrap_or_else(|e| e);
-            self.table.insert(ins, p as u32);
-        }
+        Some(run)
     }
 }
 
@@ -355,7 +164,6 @@ mod tests {
     fn roundtrip(runs: &[Run]) -> PackedRuns {
         let p = PackedRuns::pack(runs);
         assert_eq!(p.decode(), runs, "decode(pack) must be exact");
-        assert_eq!(p.iter().collect::<Vec<_>>(), runs, "iter must match decode");
         assert_eq!(p.runs(), runs.len());
         assert_eq!(p.chunks(), runs.iter().map(|r| r.len).sum::<u64>());
         p
@@ -365,7 +173,6 @@ mod tests {
     fn constant_runs_cost_one_word() {
         let p = roundtrip(&[run(0, 1000), run(1, 7)]);
         assert_eq!(p.words(), 2);
-        assert_eq!(p.repeat_commands(), 0);
     }
 
     #[test]
@@ -383,39 +190,6 @@ mod tests {
         let p = roundtrip(&[run(0, 1 << 33), run(1, 1)]);
         assert_eq!(p.runs(), 2);
         assert!(p.words() > 2, "giant run must spill");
-    }
-
-    #[test]
-    fn periodic_run_lists_compress_superlinearly() {
-        // 512 runs of a two-run motif: greedy self-overlapping repeats
-        // cover the tail in O(log n) commands.
-        let mut runs = Vec::new();
-        for _ in 0..256 {
-            runs.push(run(0, 3));
-            runs.push(run(1, 5));
-        }
-        let p = roundtrip(&runs);
-        assert!(p.repeat_commands() >= 1);
-        assert!(
-            p.words() <= 24,
-            "512-run periodic list should pack far below linear: {} words",
-            p.words()
-        );
-    }
-
-    #[test]
-    fn shifted_motifs_are_found_across_symbols() {
-        // A "Hadamard bank" shape: distinct literal symbols, but the
-        // 4-run motif repeats — RepeatFinder must catch it even though
-        // no single run repeats adjacently.
-        let motif = [run(7, 2), run(0, 4), run(8, 2), run(1, 4)];
-        let mut runs = Vec::new();
-        for _ in 0..64 {
-            runs.extend_from_slice(&motif);
-        }
-        let p = roundtrip(&runs);
-        assert!(p.repeat_commands() >= 1);
-        assert!(p.words() < runs.len(), "{} words for {} runs", p.words(), runs.len());
     }
 
     #[test]

@@ -12,11 +12,10 @@
 //! itself has `O(2^E)` entropy.
 //!
 //! The period itself is stored in the packed hybrid encoding of
-//! [`crate::packed::PackedRuns`] — tagged `u32` command words plus a
-//! `RepeatFinder` pass that factors cross-symbol periodicity in the run
-//! list — rather than a flat `Vec<Run>`, so structured states compress
-//! superlinearly in storage while every operation still runs over the
-//! logical runs.
+//! [`crate::packed::PackedRuns`] — one or two tagged `u32` command words
+//! per run — rather than a flat `Vec<Run>`, so a constant run costs 4
+//! bytes instead of 16 while every operation still runs over the logical
+//! runs.
 
 use crate::packed::PackedRuns;
 use crate::{BinOp, PbpContext, Sym, CHUNK_BITS, CHUNK_WAYS, SYM_ONE, SYM_ZERO};
@@ -44,16 +43,11 @@ impl Re {
         self.period.runs()
     }
 
-    /// Stored period footprint in packed `u32` command words — at most
-    /// `2 * storage_runs()` and, on periodic run lists, far below it.
+    /// Stored period footprint in packed `u32` command words — one per
+    /// constant or single-chunk run, two per other run, plus spill words
+    /// for runs longer than `2^29 - 1` chunks.
     pub fn packed_words(&self) -> usize {
         self.period.words()
-    }
-
-    /// `Repeat` commands in the packed period (cross-symbol periodicity
-    /// the `RepeatFinder` factored out).
-    pub fn repeat_commands(&self) -> usize {
-        self.period.repeat_commands()
     }
 
     /// Outer repetition count.
@@ -275,7 +269,6 @@ impl PbpContext {
         crate::telem::RE_PACKED_WORDS.record(re.packed_words() as u64);
         crate::telem::RE_PACKED_RATIO
             .record((re.flat_run_words() / re.packed_words().max(1)) as u64);
-        crate::telem::RE_PACKED_REPEATS.add(re.repeat_commands() as u64);
         re
     }
 
@@ -612,15 +605,6 @@ mod tests {
         assert_eq!(ctx.re_next(&c, 0), Some((1 << 30) | (1 << 35)));
         // pops line up with the analytic value
         assert_eq!(ctx.re_pop_prefix(&c, 1 << 35), 0);
-        // The packed encoding factors the (0^a 1^a) cadence: far fewer
-        // command words than even the logical run count.
-        assert!(
-            c.packed_words() < c.storage_runs(),
-            "{} words for {} runs",
-            c.packed_words(),
-            c.storage_runs()
-        );
-        assert!(c.repeat_commands() >= 1, "RepeatFinder must fire on H&H interleave");
     }
 
     #[test]

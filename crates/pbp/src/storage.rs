@@ -226,7 +226,6 @@ impl AobStorage for SparseReFile {
         for re in &self.regs {
             s.flat_words += re.flat_run_words() as u64;
             s.packed_words += re.packed_words() as u64;
-            s.repeats += re.repeat_commands() as u64;
         }
         Some(s)
     }

@@ -14,9 +14,6 @@ pub static RE_PACKED_WORDS: Histogram = Histogram::new("pbp.re.packed.words");
 /// divided by packed command words (>= 1 means the packed form never
 /// loses to the flat-run baseline).
 pub static RE_PACKED_RATIO: Histogram = Histogram::new("pbp.re.packed.ratio");
-/// `Repeat` commands the `RepeatFinder` emitted across all RE gate
-/// results (cross-symbol periodicity factored out of stored periods).
-pub static RE_PACKED_REPEATS: Counter = Counter::new("pbp.re.packed.repeats");
 /// Tree builds from explicit values (`TreeCtx::from_aob` / `from_re`).
 pub static TREE_BUILDS: Counter = Counter::new("pbp.tree.builds");
 /// Tree binop calls answered from the node memo table.

@@ -80,15 +80,12 @@ pub enum SubmitError {
     /// The pool is at [`ServeConfig::queue_cap`] (back-pressure; only
     /// [`Pool::try_submit`] reports this — `submit` blocks instead).
     Full,
-    /// [`Pool::shutdown`] has begun; no new work is accepted.
-    ShutDown,
 }
 
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SubmitError::Full => write!(f, "job queue full"),
-            SubmitError::ShutDown => write!(f, "pool is shutting down"),
         }
     }
 }
@@ -108,7 +105,7 @@ struct State {
     pending: usize,
     /// Monotonic id source for accepted jobs.
     next_id: u64,
-    /// Submissions are rejected and workers exit once the queue is empty.
+    /// Workers exit once the queue is empty.
     shutdown: bool,
     /// Queued (not yet started) jobs complete as [`JobError::Cancelled`].
     discard: bool,
@@ -187,31 +184,29 @@ impl Pool {
         self.shared.lock().pending
     }
 
-    /// Submit a job, blocking while the pool is at capacity.
+    /// Submit a job, blocking while the pool is at capacity. Always
+    /// `Ok`: a pool that can be borrowed has not been shut down.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, SubmitError> {
         let st = self.shared.lock();
         let st = self
             .shared
             .space_cv
-            .wait_while(st, |st| !st.shutdown && st.pending >= self.queue_cap)
+            .wait_while(st, |st| st.pending >= self.queue_cap)
             .expect("serve pool state lock poisoned");
-        self.accept(st, spec)
+        Ok(self.accept(st, spec))
     }
 
     /// Submit a job without blocking; [`SubmitError::Full`] applies
     /// back-pressure to the producer.
     pub fn try_submit(&self, spec: JobSpec) -> Result<u64, SubmitError> {
         let st = self.shared.lock();
-        if !st.shutdown && st.pending >= self.queue_cap {
+        if st.pending >= self.queue_cap {
             return Err(SubmitError::Full);
         }
-        self.accept(st, spec)
+        Ok(self.accept(st, spec))
     }
 
-    fn accept(&self, mut st: MutexGuard<'_, State>, spec: JobSpec) -> Result<u64, SubmitError> {
-        if st.shutdown {
-            return Err(SubmitError::ShutDown);
-        }
+    fn accept(&self, mut st: MutexGuard<'_, State>, spec: JobSpec) -> u64 {
         st.pending += 1;
         let id = st.next_id;
         st.next_id += 1;
@@ -219,7 +214,7 @@ impl Pool {
         QUEUE_DEPTH.inc();
         drop(st);
         self.shared.work_cv.notify_one();
-        Ok(id)
+        id
     }
 
     /// Take one finished result, waiting up to `timeout` for it.
@@ -256,9 +251,9 @@ impl Pool {
         self.shared.lock().discard = true;
     }
 
-    /// Graceful shutdown: reject new submissions, let workers drain the
-    /// queue (or cancel it, after [`Pool::discard_queued`]), and join
-    /// them. Returns any uncollected results. Also performed by `Drop`.
+    /// Graceful shutdown: let workers drain the queue (or cancel it,
+    /// after [`Pool::discard_queued`]), and join them. Returns any
+    /// uncollected results. Also performed by `Drop`.
     pub fn shutdown(mut self) -> Vec<JobResult> {
         self.stop();
         let mut out: Vec<JobResult> = self.shared.lock().results.drain(..).collect();
@@ -276,13 +271,13 @@ impl Pool {
         self.shared.flight.as_ref()?.write_crash_bundle(reason, None)
     }
 
-    /// Reject new submissions, wake every waiter, join the workers once
-    /// they have emptied the queue, and flush the flight recorder.
-    /// Idempotent: `shutdown` and then `Drop` both run it.
+    /// Wake the workers, join them once they have emptied the queue,
+    /// and flush the flight recorder. No submitter can be waiting: both
+    /// callers own the pool. Idempotent: `shutdown` and then `Drop` both
+    /// run it.
     fn stop(&mut self) {
         self.shared.lock().shutdown = true;
         self.shared.work_cv.notify_all();
-        self.shared.space_cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }

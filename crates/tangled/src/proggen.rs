@@ -130,19 +130,8 @@ pub struct ProgGenOptions {
     pub len: usize,
     /// Entanglement degree the target machine supports (bounds `had` k).
     pub ways: u32,
-    /// Include `load`/`store` traffic (to the 0x4000 data page).
-    pub memory_ops: bool,
-    /// Include forward branches (and forward indirect jumps).
-    pub branches: bool,
-    /// Include bfloat16 instructions.
-    pub float_ops: bool,
-    /// Include bounded countdown loops (backward branches).
-    pub loops: bool,
     /// Instruction-mix profile (class weight table).
     pub profile: Profile,
-    /// Include non-halting `sys` service windows (print calls with `$rv`
-    /// set and restored around them).
-    pub sys_services: bool,
     /// All Qat register operands are drawn from `qreg_floor..qreg_floor+16`.
     /// Set this to `QatConfig::reserved_regs()` when fuzzing a machine with
     /// the constant-register file enabled and faults are unwanted.
@@ -164,12 +153,7 @@ impl Default for ProgGenOptions {
         ProgGenOptions {
             len: 60,
             ways: 8,
-            memory_ops: true,
-            branches: true,
-            float_ops: true,
-            loops: true,
             profile: Profile::Balanced,
-            sys_services: true,
             qreg_floor: 0,
             allow_qat_faults: false,
             intern_stress: false,
@@ -421,28 +405,11 @@ pub fn random_program(seed: u64, opts: &ProgGenOptions) -> Vec<Insn> {
         jump_fixups: Vec::new(),
     };
 
-    // Zero out classes the options disable, then draw from the remainder.
-    let mut weights = opts.profile.weights();
-    if !opts.float_ops {
-        weights[class::FLOAT] = 0;
-    }
-    if !opts.memory_ops {
-        weights[class::MEM] = 0;
-    }
-    if !opts.branches {
-        weights[class::BRANCH] = 0;
-        weights[class::JUMP] = 0;
-    }
-    if !opts.loops {
-        weights[class::LOOP] = 0;
-    }
-    if !opts.sys_services {
-        weights[class::SYS] = 0;
-    }
+    let weights = opts.profile.weights();
     let total: u32 = weights.iter().sum();
 
     while em.body.len() < opts.len {
-        let mut roll = em.rng.below(total.max(1) as u64) as u32;
+        let mut roll = em.rng.below(total as u64) as u32;
         let mut cls = 0;
         for (i, &w) in weights.iter().enumerate() {
             if roll < w {
@@ -698,36 +665,6 @@ mod tests {
             m.run().unwrap();
             // Code region unchanged: no self-modification possible.
             assert_eq!(&m.mem[..words.len()], &words[..], "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn options_are_respected() {
-        let opts = ProgGenOptions {
-            memory_ops: false,
-            branches: false,
-            float_ops: false,
-            loops: false,
-            sys_services: false,
-            ..Default::default()
-        };
-        for seed in 1..=10u64 {
-            let prog = random_program(seed, &opts);
-            for i in &prog {
-                assert!(
-                    !i.is_mem() && !i.is_control() || matches!(i, Insn::Sys),
-                    "seed {seed}: unexpected {i:?}"
-                );
-                assert!(!matches!(
-                    i,
-                    Insn::Addf { .. }
-                        | Insn::Mulf { .. }
-                        | Insn::Float { .. }
-                        | Insn::Int { .. }
-                        | Insn::Recip { .. }
-                        | Insn::Negf { .. }
-                ));
-            }
         }
     }
 

@@ -351,31 +351,15 @@ fn reproducer_text(
 /// Open the campaign's corpus journal, migrating any loose `*.s`
 /// reproducers (the legacy layout, and the checked-in seed corpus) into
 /// it first. The migration is idempotent — re-opening an up-to-date
-/// journal inserts nothing — and files that no longer assemble are
-/// skipped with a warning rather than poisoning the database.
+/// journal inserts nothing — and files that cannot be read or no longer
+/// assemble are skipped with a warning rather than poisoning the database.
 fn open_campaign_db(dir: &Path) -> Result<CorpusDb, String> {
     let path = CorpusDb::dir_path(dir);
     let mut db = CorpusDb::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    for file in runner::corpus_files(dir) {
-        let Ok(text) = std::fs::read_to_string(&file) else { continue };
-        if db.contains_text(&text) {
-            continue;
-        }
-        if let Err(e) = asm::assemble(&text) {
-            eprintln!("warning: {} does not assemble, not imported: {e}", file.display());
-            continue;
-        }
-        let name =
-            file.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default();
-        let mut entry = CorpusEntry::from_text(
-            &name,
-            &text,
-            runner::corpus_header(&text, "ways", 8) as u32,
-            runner::corpus_header(&text, "constant-registers", 0) != 0,
-        );
-        entry.kind = "imported".to_string();
-        db.insert(entry).map_err(|e| format!("{}: {e}", path.display()))?;
-    }
+    runner::import_loose_files(&mut db, dir, |e| {
+        eprintln!("warning: not imported: {e}");
+        Ok(())
+    })?;
     Ok(db)
 }
 

@@ -882,7 +882,7 @@ fn cmd_debug(path: &str, args: &[String]) -> Result<(), String> {
 /// legacy loose-file layout; `export` writes it back; `ls`/`stats`
 /// inspect; `gc` compacts superseded journal records.
 fn cmd_corpus(args: &[String]) -> Result<(), String> {
-    use tangled_qat::store::{CorpusDb, CorpusEntry, InsertOutcome};
+    use tangled_qat::store::CorpusDb;
 
     let (sub, rest) = args
         .split_first()
@@ -908,36 +908,14 @@ fn cmd_corpus(args: &[String]) -> Result<(), String> {
     };
     match sub.as_str() {
         "import" => {
-            let files = runner::corpus_files(&dir);
-            if files.is_empty() {
+            if runner::corpus_files(&dir).is_empty() {
                 return Err(format!("corpus import: no `.s` files in {}", dir.display()));
             }
             let mut db =
                 CorpusDb::open(&db_path).map_err(|e| format!("{}: {e}", db_path.display()))?;
-            let (mut inserted, mut dups) = (0u64, 0u64);
-            for path in files {
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                // Imports must stay replayable: reject anything that no
-                // longer assembles rather than poisoning the database.
-                tangled_qat::asm::assemble(&text)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                let name = path
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-                    .unwrap_or_default();
-                let mut e = CorpusEntry::from_text(
-                    &name,
-                    &text,
-                    runner::corpus_header(&text, "ways", 8) as u32,
-                    runner::corpus_header(&text, "constant-registers", 0) != 0,
-                );
-                e.kind = "imported".to_string();
-                match db.insert(e).map_err(|e| format!("{}: {e}", db_path.display()))? {
-                    InsertOutcome::Inserted => inserted += 1,
-                    _ => dups += 1,
-                }
-            }
+            // Imports must stay replayable: a file that no longer
+            // assembles fails the import rather than poisoning the database.
+            let (inserted, dups) = runner::import_loose_files(&mut db, &dir, Err)?;
             println!(
                 "imported {inserted} program(s) into {} ({dups} already present, {} total)",
                 db_path.display(),

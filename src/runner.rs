@@ -12,8 +12,9 @@
 use std::path::{Path, PathBuf};
 
 use qat_coproc::StorageBackend;
-use tangled_asm::{assemble_with, AsmOptions};
+use tangled_asm::{assemble, assemble_with, AsmOptions};
 use tangled_sim::{DiffConfig, VmemImage};
+use tangled_store::{CorpusDb, CorpusEntry};
 
 /// Load a program as memory words: a `.vmem` pre-assembled image, or
 /// anything else as assembly source.
@@ -102,14 +103,14 @@ pub struct CorpusProgram {
 /// All programs in a corpus directory, in deterministic order.
 ///
 /// When the directory holds a `corpus.tsdb` journal (see
-/// [`tangled_store::CorpusDb`]), the database is authoritative and its
+/// [`CorpusDb`]), the database is authoritative and its
 /// entries are returned in insertion order. Otherwise discovery falls
 /// back to the legacy loose-file layout: sorted `*.s` files — so the
 /// checked-in seed reproducers keep replaying with or without a journal.
 pub fn corpus_programs(dir: &Path) -> Result<Vec<CorpusProgram>, String> {
-    let db_path = tangled_store::CorpusDb::dir_path(dir);
+    let db_path = CorpusDb::dir_path(dir);
     if db_path.exists() {
-        let db = tangled_store::CorpusDb::open_existing(&db_path)
+        let db = CorpusDb::open_existing(&db_path)
             .map_err(|e| format!("{}: {e}", db_path.display()))?;
         return Ok(db
             .entries()
@@ -125,6 +126,49 @@ pub fn corpus_programs(dir: &Path) -> Result<Vec<CorpusProgram>, String> {
             Ok(CorpusProgram { label: p.display().to_string(), text })
         })
         .collect()
+}
+
+/// Migrate the loose `*.s` reproducers in `dir` into `db`, each as an
+/// `imported` entry named after its file, with the degree and
+/// constant-register mode its `; ways` / `; constant-registers` headers
+/// pin. Texts already in the database are left alone. A file that cannot
+/// be read or does not assemble goes to `reject` with its error; the
+/// caller decides whether that fails the import (`Err`) or skips the
+/// file (`Ok`). Returns `(inserted, already_present)`.
+pub fn import_loose_files(
+    db: &mut CorpusDb,
+    dir: &Path,
+    mut reject: impl FnMut(String) -> Result<(), String>,
+) -> Result<(u64, u64), String> {
+    let (mut inserted, mut present) = (0, 0);
+    for path in corpus_files(dir) {
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) => {
+                reject(format!("{}: {e}", path.display()))?;
+                continue;
+            }
+        };
+        if db.contains_text(&text) {
+            present += 1;
+            continue;
+        }
+        if let Err(e) = assemble(&text) {
+            reject(format!("{}: {e}", path.display()))?;
+            continue;
+        }
+        let name = path.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default();
+        let mut entry = CorpusEntry::from_text(
+            &name,
+            &text,
+            corpus_header(&text, "ways", 8) as u32,
+            corpus_header(&text, "constant-registers", 0) != 0,
+        );
+        entry.kind = "imported".to_string();
+        db.insert(entry).map_err(|e| format!("{}: {e}", db.path().display()))?;
+        inserted += 1;
+    }
+    Ok((inserted, present))
 }
 
 #[cfg(test)]
@@ -163,8 +207,18 @@ mod tests {
         assert!(files.windows(2).all(|w| w[0] < w[1]), "sorted");
         assert!(corpus_files(Path::new("no/such/dir")).is_empty());
         // Without a journal, program discovery is the loose-file layout.
-        let programs = corpus_programs(&dir).unwrap();
+        // The checked-in directory may hold a journal a local fuzz run
+        // left behind, so check the layout on a copy of the seed files.
+        let copy = std::env::temp_dir()
+            .join(format!("tangled-runner-seeds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&copy);
+        std::fs::create_dir_all(&copy).unwrap();
+        for f in &files {
+            std::fs::copy(f, copy.join(f.file_name().unwrap())).unwrap();
+        }
+        let programs = corpus_programs(&copy).unwrap();
         assert_eq!(programs.len(), files.len());
+        let _ = std::fs::remove_dir_all(&copy);
     }
 
     #[test]
@@ -177,12 +231,9 @@ mod tests {
         // Loose layout first...
         assert_eq!(corpus_programs(&dir).unwrap().len(), 1);
         // ...then a journal appears and becomes authoritative.
-        let mut db = tangled_store::CorpusDb::open(&tangled_store::CorpusDb::dir_path(&dir))
-            .unwrap();
-        db.insert(tangled_store::CorpusEntry::from_text("a", "; ways 8\nadd $1,$1\nsys\n", 8, false))
-            .unwrap();
-        db.insert(tangled_store::CorpusEntry::from_text("b", "; ways 8\nnot @1\nsys\n", 8, false))
-            .unwrap();
+        let mut db = CorpusDb::open(&CorpusDb::dir_path(&dir)).unwrap();
+        db.insert(CorpusEntry::from_text("a", "; ways 8\nadd $1,$1\nsys\n", 8, false)).unwrap();
+        db.insert(CorpusEntry::from_text("b", "; ways 8\nnot @1\nsys\n", 8, false)).unwrap();
         let programs = corpus_programs(&dir).unwrap();
         assert_eq!(programs.len(), 2);
         assert_eq!(programs[0].label, "a");

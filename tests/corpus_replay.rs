@@ -11,32 +11,21 @@ use tangled_qat::qat::StorageBackend;
 use tangled_qat::runner;
 use tangled_qat::sim::difftest::compare_all;
 use tangled_qat::sim::Machine;
-use tangled_qat::store::{CorpusDb, CorpusEntry};
+use tangled_qat::store::CorpusDb;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fuzz/corpus")
 }
 
-/// A temp-dir corpus database populated from the checked-in loose files —
-/// the same migration `tangled corpus import` / `qat-fuzz` perform.
+/// A temp-dir corpus database populated from the checked-in loose files
+/// by the migration `tangled corpus import` / `qat-fuzz` perform.
 fn imported_db(tag: &str) -> (PathBuf, CorpusDb) {
     let dir = std::env::temp_dir()
         .join(format!("tangled-corpus-replay-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let mut db = CorpusDb::open(&CorpusDb::dir_path(&dir)).unwrap();
-    for path in runner::corpus_files(&corpus_dir()) {
-        let text = std::fs::read_to_string(&path).unwrap();
-        let name = path.file_stem().unwrap().to_string_lossy().into_owned();
-        let mut e = CorpusEntry::from_text(
-            &name,
-            &text,
-            runner::corpus_header(&text, "ways", 8) as u32,
-            runner::corpus_header(&text, "constant-registers", 0) != 0,
-        );
-        e.kind = "imported".to_string();
-        db.insert(e).unwrap();
-    }
+    runner::import_loose_files(&mut db, &corpus_dir(), Err).unwrap();
     (dir, db)
 }
 
@@ -86,15 +75,11 @@ fn corpus_db_import_replays_identically_to_loose_files() {
 
     // Re-import is a no-op (content addressing), and a fresh open sees
     // the same database.
-    for (name, text) in &loose {
-        let mut e = CorpusEntry::from_text(name, text, 8, false);
-        e.kind = "imported".to_string();
-        assert_ne!(
-            db.insert(e).unwrap(),
-            tangled_qat::store::InsertOutcome::Inserted,
-            "{name}: re-import created a duplicate"
-        );
-    }
+    assert_eq!(
+        runner::import_loose_files(&mut db, &corpus_dir(), Err).unwrap(),
+        (0, loose.len() as u64),
+        "re-import created a duplicate"
+    );
     let db2 = CorpusDb::open_existing(&CorpusDb::dir_path(&dir)).unwrap();
     assert_eq!(db2.len(), loose.len());
 
@@ -185,9 +170,8 @@ fn corpus_intern_counters_replay_deterministically() {
 
 /// The packed-RLE encoding is a pure function of the run list: two fresh
 /// sparse-re runs of any corpus program must leave bit-identical packed
-/// register files — same command-word footprint, same `Repeat` factoring
-/// decisions — and identical architectural state. This pins the
-/// `RepeatFinder`'s tie-breaking as replayable behavior.
+/// register files — same command-word footprint — and identical
+/// architectural state.
 #[test]
 fn corpus_packed_encoding_replays_deterministically() {
     let mut packed = 0u64;
