@@ -16,8 +16,8 @@
 //!   Under this model `swap`/`cswap` are exactly free ("billiard-ball
 //!   conservancy"), while `not` of a biased vector is maximally expensive.
 //!
-//! The [`EnergyMeter`] accumulates both measures so the ablation bench can
-//! report the §5 trade-off quantitatively.
+//! The [`EnergyMeter`] accumulates both measures so the Qat coprocessor
+//! can report the §5 trade-off quantitatively.
 
 use crate::bitvec::Aob;
 

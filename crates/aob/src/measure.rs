@@ -158,8 +158,8 @@ impl Aob {
     }
 
     /// Full read-out by looping `meas` over every channel — the
-    /// brute-force `O(2^E)` enumeration of §2.7, kept as the baseline for
-    /// the measurement benches.
+    /// brute-force `O(2^E)` enumeration of §2.7, kept as the oracle that
+    /// `tests/properties.rs` checks [`Aob::enumerate_ones`] against.
     pub fn enumerate_ones_by_meas(&self) -> Vec<u64> {
         (0..self.len()).filter(|&e| self.meas(e)).collect()
     }

@@ -33,8 +33,8 @@
 //! assemble as the macro sequences the paper's conclusions recommend
 //! (using a reserved Qat temporary):
 //! `cnot @a,@b` → `xor @a,@a,@b`; `ccnot` → `and @t,@b,@c ; xor @a,@a,@t`;
-//! `swap` → triple-`xor`; `cswap` → `xor/and/xor/xor` masked swap. The
-//! ablation bench compares both modes.
+//! `swap` → triple-`xor`; `cswap` → `xor/and/xor/xor` masked swap.
+//! `gen_results` compares both modes (E13).
 
 mod expand;
 mod parser;

@@ -3,10 +3,10 @@
 //! Prints a Markdown report (and, with `--json`, a machine-readable dump)
 //! of every deterministic evaluation quantity: per-kernel CPI across
 //! pipeline organizations, factoring instruction/cycle counts, compiler
-//! ablations, the gate-delay model, circuit-level measurements, RE
-//! compression, and the PBP-vs-quantum measurement comparison. Criterion
-//! wall-clock numbers live in `bench_output.txt`; everything here is exact
-//! and machine-independent.
+//! ablations, reversible gates native vs as §5 macros, the gate-delay
+//! model, circuit-level measurements, RE compression, the PBP-vs-quantum
+//! measurement comparison and state memory. Everything here is exact and
+//! machine-independent; timed claims live in the `benchmark` package.
 
 use gatec::factor::build_factoring;
 use gatec::{allocate, emit_asm, AllocStrategy, EmitOptions};
@@ -15,9 +15,10 @@ use pbp_aob::Aob;
 use qat_coproc::circuit::{qatnext_circuit, qathad_circuit};
 use qat_coproc::cost::{gate_delay, pipeline_stages, AluOp, OrReduction};
 use qsim_baseline::{expected_runs_to_collect_all, grover_optimal_iterations};
+use tangled_asm::{assemble_with, AsmOptions};
 use tangled_bench::json::Json;
 use tangled_bench::*;
-use tangled_sim::{PipelineConfig, StageCount};
+use tangled_sim::{PipelineConfig, PipelinedSim, StageCount};
 
 struct KernelRow {
     kernel: String,
@@ -37,7 +38,9 @@ struct Report {
     circuit_depth: Vec<(u32, u64, u64)>,
     re_storage: Vec<(u32, u64, usize)>,
     compiler: Vec<(String, usize)>,
+    reversible: Vec<(String, u64, u64, u64, u64)>,
     quantum: Vec<(String, f64)>,
+    state_memory: Vec<(u32, u64, u64, usize)>,
 }
 
 impl Report {
@@ -114,11 +117,39 @@ impl Report {
                 ),
             ),
             (
+                "reversible",
+                Json::Arr(
+                    self.reversible
+                        .iter()
+                        .map(|(f, i, c, r3, w2)| {
+                            Json::Arr(vec![
+                                f.as_str().into(),
+                                (*i).into(),
+                                (*c).into(),
+                                (*r3).into(),
+                                (*w2).into(),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            (
                 "quantum",
                 Json::Arr(
                     self.quantum
                         .iter()
                         .map(|(n, v)| Json::Arr(vec![n.as_str().into(), (*v).into()]))
+                        .collect(),
+                ),
+            ),
+            (
+                "state_memory",
+                Json::Arr(
+                    self.state_memory
+                        .iter()
+                        .map(|(n, q, a, r)| {
+                            Json::Arr(vec![(*n).into(), (*q).into(), (*a).into(), (*r).into()])
+                        })
                         .collect(),
                 ),
             ),
@@ -128,6 +159,23 @@ impl Report {
 
 fn cfg(stages: StageCount, forwarding: bool) -> PipelineConfig {
     PipelineConfig { stages, forwarding, ..Default::default() }
+}
+
+/// A reversible-gate-heavy program: a 40-gate Toffoli/Fredkin mixing
+/// network over four Hadamard registers.
+fn reversible_kernel() -> String {
+    let mut src = String::from("had @1,0\nhad @2,1\nhad @3,2\nhad @4,3\n");
+    for i in 0..40 {
+        let (a, b, c) = (1 + i % 4, 1 + (i + 1) % 4, 1 + (i + 2) % 4);
+        match i % 4 {
+            0 => src.push_str(&format!("ccnot @{a},@{b},@{c}\n")),
+            1 => src.push_str(&format!("cswap @{a},@{b},@{c}\n")),
+            2 => src.push_str(&format!("cnot @{a},@{b}\n")),
+            _ => src.push_str(&format!("swap @{a},@{b}\n")),
+        }
+    }
+    src.push_str("sys\n");
+    src
 }
 
 fn main() {
@@ -220,6 +268,23 @@ fn main() {
     let fig10_insns = figure10_asm().lines().filter(|l| !l.trim().is_empty()).count() - 10; // minus tail+sys
     report.compiler.push(("Figure 10 gate instructions (paper)".into(), fig10_insns));
 
+    // ---- E13: reversible gates as native instructions vs §5 macros ----
+    let kernel = reversible_kernel();
+    for (form, expand_reversible) in [("native", false), ("macros", true)] {
+        let opts = AsmOptions { expand_reversible, ..Default::default() };
+        let words = assemble_with(&kernel, &opts).expect("kernel assembles").words;
+        let mut p = PipelinedSim::new(machine(&words, 8), PipelineConfig::default());
+        let st = p.run().expect("kernel halts");
+        let ports = &p.machine.qat.ports;
+        report.reversible.push((
+            form.into(),
+            st.insns,
+            st.cycles,
+            ports.triple_read_insns,
+            ports.dual_write_insns,
+        ));
+    }
+
     // ---- E14: quantum comparison ----
     report.quantum.push(("PBP passes to read all 4 factors".into(), 1.0));
     report
@@ -229,6 +294,15 @@ fn main() {
         "Grover iterations before EACH quantum sample (8-qubit oracle, k=4)".into(),
         grover_optimal_iterations(8, 4) as f64,
     ));
+
+    // ---- E14: state memory; sizes are computed, never allocated ----
+    for n in [8u32, 16, 20, 24] {
+        let mut ctx = PbpContext::new(n);
+        let h = ctx.hadamard(n - 1);
+        let l = ctx.hadamard(2);
+        let v = ctx.and(&h, &l);
+        report.state_memory.push((n, 16u64 << n, (1u64 << n) / 8, v.storage_runs()));
+    }
 
     // ---- E6 gate counts for had ----
     let (_, had8) = qathad_circuit(8, 3);
@@ -278,10 +352,23 @@ fn main() {
     for (n, v) in &report.compiler {
         println!("| {n} | {v} |");
     }
+    println!("\n## Reversible gates, native vs §5 macros (E13)\n");
+    println!("40-gate Toffoli/Fredkin kernel, 8 ways, 4-stage pipeline with forwarding.\n");
+    println!("| form | insns | cycles | 3-read insns | 2-write insns |");
+    println!("|---|---|---|---|---|");
+    for (f, i, c, r3, w2) in &report.reversible {
+        println!("| {f} | {i} | {c} | {r3} | {w2} |");
+    }
     println!("\n## Measurement semantics (E14)\n");
     println!("| quantity | value |");
     println!("|---|---|");
     for (n, v) in &report.quantum {
         println!("| {n} | {v:.3} |");
+    }
+    println!("\n## State memory (E14)\n");
+    println!("| n | qsim bytes (16 B/amplitude) | AoB bytes (1 bit/channel) | RE runs of H(n-1) & H(2) |");
+    println!("|---|---|---|---|");
+    for (n, q, a, r) in &report.state_memory {
+        println!("| {n} | {q} | {a} | {r} |");
     }
 }

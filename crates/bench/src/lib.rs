@@ -1,10 +1,11 @@
 #![warn(missing_docs)]
-//! # tangled-bench — shared workloads for the benchmark harness
+//! # tangled-bench — shared workloads for the evaluation tables
 //!
-//! Each Criterion bench regenerates one evaluation artifact of the paper
-//! (see DESIGN.md's experiment index and EXPERIMENTS.md for measured
-//! results). This library hosts the workload builders the benches share,
-//! so the benches themselves stay declarative.
+//! The `gen_results` binary regenerates every deterministic evaluation
+//! table of the paper (see DESIGN.md's experiment index and
+//! EXPERIMENTS.md for the results). This library hosts the workload
+//! builders it shares with the `benchmark` package, plus the `json` and
+//! `diff` modules that both use.
 
 pub mod diff;
 pub mod json;

@@ -81,12 +81,6 @@ impl SparseReFile {
         Ok(SparseReFile { ctx, regs, materializations: Cell::new(0) })
     }
 
-    /// Panicking convenience wrapper around [`SparseReFile::try_new`].
-    pub fn new(ways: u32, constant_bank: bool) -> Self {
-        Self::try_new(ways, constant_bank)
-            .unwrap_or_else(|e| panic!("sparse-re backend: {e}"))
-    }
-
     /// Panicking convenience wrapper around [`SparseReFile::try_new_warm`].
     pub fn warmed(ways: u32, constant_bank: bool, warm: Option<pbp_aob::WarmStoreId>) -> Self {
         Self::try_new_warm(ways, constant_bank, warm)
@@ -276,7 +270,7 @@ mod tests {
     #[test]
     fn sparse_re_matches_eager_at_ways_8() {
         let mut eager = EagerFile::new(8, false);
-        let mut sparse = SparseReFile::new(8, false);
+        let mut sparse = SparseReFile::try_new(8, false).unwrap();
         drive(&mut eager);
         drive(&mut sparse);
         for r in 0..pbp_aob::storage::REG_COUNT {
@@ -297,7 +291,7 @@ mod tests {
     #[test]
     fn metering_matches_eager_at_ways_8() {
         let mut eager = EagerFile::new(8, false);
-        let mut sparse = SparseReFile::new(8, false);
+        let mut sparse = SparseReFile::try_new(8, false).unwrap();
         for f in [&mut eager as &mut dyn AobStorage, &mut sparse] {
             let d1 = f.apply_action(GateAction::Const(0, ConstKind::Ones), true);
             assert_eq!(d1, WriteDelta { toggles: 256, pop_delta: 256, writes: 1 });
@@ -313,7 +307,7 @@ mod tests {
         // no padding bit may leak into reads or measurements.
         for ways in [1u32, 3, 5] {
             let mut eager = EagerFile::new(ways, true);
-            let mut sparse = SparseReFile::new(ways, true);
+            let mut sparse = SparseReFile::try_new(ways, true).unwrap();
             drive(&mut eager);
             drive(&mut sparse);
             for r in 0..pbp_aob::storage::REG_COUNT {
@@ -350,14 +344,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ways 40 outside supported range")]
-    fn out_of_range_ways_panics_through_new() {
-        SparseReFile::new(40, false);
-    }
-
-    #[test]
     fn ways_32_structured_states_stay_compressed() {
-        let mut f = SparseReFile::new(32, true); // constant bank preloaded
+        let mut f = SparseReFile::try_new(32, true).unwrap(); // constant bank preloaded
         f.apply_action(GateAction::Bin(GateOp::And, 100, 2 + 5, 2 + 31), false); // H(5) & H(31)
         f.apply_action(GateAction::Bin(GateOp::Xor, 101, 100, 2 + 30), false);
         f.apply_action(GateAction::Ccnot(101, 100, 2 + 0), false);
@@ -382,7 +370,7 @@ mod tests {
 
     #[test]
     fn ways_20_structured_states_stay_compressed() {
-        let mut f = SparseReFile::new(20, true); // constant bank preloaded
+        let mut f = SparseReFile::try_new(20, true).unwrap(); // constant bank preloaded
         // Work over the bank without touching reserved registers.
         f.apply_action(GateAction::Bin(GateOp::And, 100, 2 + 5, 2 + 19), false); // H(5) & H(19)
         f.apply_action(GateAction::Bin(GateOp::Xor, 101, 100, 2 + 18), false);

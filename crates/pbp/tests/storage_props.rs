@@ -53,7 +53,7 @@ proptest! {
         ops in proptest::collection::vec(op(), 1..60),
     ) {
         let mut eager = EagerFile::new(ways, bank);
-        let mut sparse = SparseReFile::new(ways, bank);
+        let mut sparse = SparseReFile::try_new(ways, bank).unwrap();
         apply(&mut eager, &ops);
         apply(&mut sparse, &ops);
 
@@ -90,7 +90,7 @@ proptest! {
         ops in proptest::collection::vec(op(), 1..40),
     ) {
         let run = || {
-            let mut f = SparseReFile::new(ways, true);
+            let mut f = SparseReFile::try_new(ways, true).unwrap();
             apply(&mut f, &ops);
             f
         };

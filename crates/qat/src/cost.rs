@@ -15,7 +15,7 @@
 //!   `WAYS` steps, where step `k` OR-reduces `2^k` bits. With a wide OR
 //!   (single-level) each step costs delay 1 → total `O(WAYS)`; with a tree
 //!   of 2-input ORs step `k` costs delay `k` → total `O(WAYS²)`. Both
-//!   variants are modelled so the bench can plot the §3.3 comparison.
+//!   variants are modelled so `gen_results` can tabulate the §3.3 comparison.
 //!
 //! Delays are in "gate levels"; [`pipeline_stages`] converts a delay into
 //! the §3.3 suggestion of splitting `next` across pipeline stages.

@@ -25,7 +25,7 @@
 //! * [`PortStats`] — read/write-port usage accounting. The paper's §5
 //!   conclusions hinge on which instructions need a third read port
 //!   (`ccnot`, `cswap`) or a second write port (`swap`, `cswap`); the
-//!   stats let the ablation benches quantify that.
+//!   stats let `gen_results`' E13 rows quantify that.
 //! * [`cost`] — the gate-count / gate-delay model for the Figure 7
 //!   (`had`) and Figure 8 (`next`) circuits, with both OR-reduction
 //!   variants §3.3 discusses (O(WAYS) wide-OR vs O(WAYS²) 2-input tree).

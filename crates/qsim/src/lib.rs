@@ -10,7 +10,7 @@
 //! set Qat mirrors (H, X/NOT, CNOT, CCNOT/Toffoli, SWAP, CSWAP/Fredkin)
 //! and faithful destructive measurement.
 //!
-//! The `pbp_vs_qsim` bench uses it to reproduce the paper's §2.7 argument:
+//! `tests/qsim_contrast.rs` uses it to reproduce the paper's §2.7 argument:
 //! a quantum run of the factoring oracle yields ONE factor sampled from
 //! the superposition and destroys the rest, so collecting all `k` answers
 //! is a coupon-collector process (`k·H(k)` expected runs), while one
@@ -79,7 +79,7 @@ impl QState {
     }
 
     /// Uniform superposition over an explicit set of basis states — the
-    /// "post-oracle" state used by the measurement-semantics benches.
+    /// "post-oracle" state used by the measurement-semantics tests.
     pub fn uniform_over(n: u32, marked: &[u64]) -> QState {
         assert!(!marked.is_empty());
         let mut amps = vec![Complex::ZERO; 1 << n];

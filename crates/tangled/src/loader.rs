@@ -149,6 +149,13 @@ mod tests {
         assert!(e.msg.contains("64K"));
     }
 
+    proptest::proptest! {
+        #[test]
+        fn parse_never_panics_on_garbage(lines in proptest::collection::vec("[ -~]{0,30}", 0..10)) {
+            let _ = VmemImage::parse(&lines.join("\n")); // any Result is fine; panics are not
+        }
+    }
+
     #[test]
     fn roundtrip_render_parse() {
         let mut img = VmemImage::from_words(&[1, 2, 3, 0xBEEF]);

@@ -600,6 +600,9 @@ fn cmd_factor(n_str: &str, args: &[String]) -> Result<(), String> {
     if width > 8 {
         return Err("factor: n must fit 8 bits (two operands need ≤16-way entanglement)".into());
     }
+    if n >= 1 << width {
+        return Err(format!("factor: {n} does not fit {width}-bit operands"));
+    }
     let prog = compile_factoring(n, width, &Compiler::default()).map_err(|e| e.to_string())?;
     let img = tangled_qat::asm::assemble(&prog.asm).map_err(|e| e.to_string())?;
     let ways = (2 * width) as u32;
@@ -786,6 +789,13 @@ fn cmd_sat(path: &str, args: &[String]) -> Result<(), String> {
             let lit: i32 = tok
                 .parse()
                 .map_err(|_| format!("{path}:{}: bad literal `{tok}`", idx + 1))?;
+            if lit.unsigned_abs() > f.num_vars {
+                return Err(format!(
+                    "{path}:{}: literal {lit} out of range for {} variables",
+                    idx + 1,
+                    f.num_vars
+                ));
+            }
             if lit == 0 {
                 if pending.is_empty() {
                     return Err(format!("{path}:{}: empty clause", idx + 1));
@@ -844,6 +854,9 @@ fn cmd_verilog(n_str: &str, args: &[String]) -> Result<(), String> {
     if width > 8 {
         return Err("verilog: width > 8 needs more than 16-way entanglement".into());
     }
+    if n >= 1 << width {
+        return Err(format!("verilog: {n} does not fit {width}-bit operands"));
+    }
     let prog = tangled_qat::gatec::factor::build_factoring(n, width, true);
     let (nl, outs) = prog.optimized();
     print!(
@@ -868,6 +881,7 @@ fn cmd_debug(path: &str, args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown option `{other}`")),
         }
     }
+    runner::check_ways(QatConfig::paper().backend, ways, false)?;
     let words = runner::load_words(path, false)?;
     let mcfg = MachineConfig { qat: QatConfig::with_ways(ways), ..Default::default() };
     let mut dbg = Debugger {

@@ -110,6 +110,27 @@ fn errors_are_reported_not_panicked() {
     let (_, stderr, ok) = tangled(&["factor", "999"]);
     assert!(!ok);
     assert!(stderr.contains("8 bits"));
+
+    // Inputs the library would reject with an assert: a literal past the
+    // DIMACS header, n wider than --width, and a --ways the default
+    // backend cannot build.
+    let dir = std::env::temp_dir().join("tangled_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let cnf = dir.join("literal_past_header.cnf");
+    std::fs::write(&cnf, "p cnf 3 1\n1 5 0\n").unwrap();
+    let counting = asm_path("counting.s");
+    for args in [
+        &["sat", cnf.to_str().unwrap()][..],
+        &["factor", "15", "--width", "1"],
+        &["verilog", "15", "--width", "0"],
+        &["debug", &counting, "--ways", "40"],
+    ] {
+        let (_, stderr, ok) = tangled(args);
+        assert!(!ok, "{args:?} succeeded");
+        let reported = stderr.lines().filter(|l| l.starts_with("tangled:")).count();
+        assert_eq!(reported, 1, "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

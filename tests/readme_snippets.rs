@@ -35,8 +35,10 @@ fn readme_compiled_snippet() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Every `--bench NAME` the docs cite names a `[[bench]]` target, and
-/// every `BENCH_*.json` they cite is committed at the repository root.
+/// The docs cite only what exists: no `cargo bench`; every `--bench NAME`
+/// or bench `NAME` names a `[[bench]]` target; every `BENCH_*.json` is
+/// committed at the repository root; every `tests/*.rs` or
+/// `examples/*.rs` path (with any `crates/...` prefix) is in the tree.
 #[test]
 fn docs_cite_only_existing_benches_and_artifacts() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -47,7 +49,8 @@ fn docs_cite_only_existing_benches_and_artifacts() {
     let manifest = read("crates/bench/Cargo.toml");
     for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
         let text = read(doc);
-        for rest in text.split("--bench ").skip(1) {
+        assert!(!text.contains("cargo bench"), "{doc} cites `cargo bench`");
+        for rest in text.split("--bench ").skip(1).chain(text.split("bench `").skip(1)) {
             let name = word(rest);
             let target = format!("name = \"{name}\"");
             assert!(manifest.contains(&target), "{doc}: no [[bench]] `{name}`");
@@ -57,6 +60,20 @@ fn docs_cite_only_existing_benches_and_artifacts() {
             if rest[stem.len()..].starts_with(".json") {
                 let file = format!("BENCH_{stem}.json");
                 assert!(root.join(&file).exists(), "{doc} cites {file}, which is not committed");
+            }
+        }
+        for dir in ["tests/", "examples/"] {
+            for (i, _) in text.match_indices(dir) {
+                let prefix = text[..i]
+                    .bytes()
+                    .rev()
+                    .take_while(|b| b.is_ascii_alphanumeric() || b"_-/".contains(b))
+                    .count();
+                let end = i + dir.len() + word(&text[i + dir.len()..]).len();
+                if text[end..].starts_with(".rs") {
+                    let file = &text[i - prefix..end + 3];
+                    assert!(root.join(file).exists(), "{doc} cites {file}, which does not exist");
+                }
             }
         }
     }
