@@ -1,4 +1,5 @@
-//! The `adaptive` register file: eager until interning provably pays.
+//! The `adaptive` register file, the default one: eager until interning
+//! provably pays.
 //!
 //! The benchmark ledger's per-backend replay rows are the motivation:
 //! hash-consing wins about 5x when a workload repeats gates over repeated
@@ -8,14 +9,16 @@
 //! in is a runtime property, so [`AdaptiveFile`] measures instead of
 //! guessing:
 //!
-//! * It starts as a plain [`EagerFile`] and runs a cheap **shadow probe**
-//!   beside the vectorized kernels: every register carries a 64-bit
-//!   fingerprint, every gate derives an operation fingerprint from its
-//!   operands' fingerprints, and a capped set of seen fingerprints
+//! * It starts as a plain [`EagerFile`], whose registers hold no words
+//!   until first used, and runs a cheap **shadow probe** from the first
+//!   gate on, beside the vectorized kernels: every register carries a
+//!   64-bit fingerprint, every gate derives an operation fingerprint from
+//!   its operands' fingerprints, and a capped set of seen fingerprints
 //!   predicts what an op cache's hit rate *would have been*.
 //! * When a 128-gate window's predicted hit rate crosses the promotion
-//!   threshold, the file migrates its registers into an [`InternedFile`]
-//!   and delegates from then on — now with real memoized kernels.
+//!   threshold, the file moves the registers the program has used into an
+//!   [`InternedFile`] (the rest stay at the zero chunk) and delegates from
+//!   then on — now with real memoized kernels.
 //! * While interned, the real `InternStats` are watched per window; if the
 //!   hit rate collapses the file demotes back to eager (hysteresis: only
 //!   after a dwell period, and after two demotions it pins eager so a
@@ -35,8 +38,8 @@
 //! so replays are deterministic — pinned by the corpus-replay suite.
 
 use crate::storage::{
-    AdaptiveStats, AobStorage, ConstKind, EagerFile, GateAction, PackedStats, StorageBackend,
-    WriteDelta, REG_COUNT,
+    AdaptiveStats, AobStorage, ConstKind, EagerFile, GateAction, InternedFile, PackedStats,
+    StorageBackend, WriteDelta, REG_COUNT,
 };
 use crate::{Aob, ChunkStore, GateOp, InternStats};
 
@@ -64,12 +67,6 @@ const DEMOTE_DWELL: u32 = 2;
 const SETTLE_AFTER_COLD: u32 = 4;
 /// Gates of pure delegation between settled-probe re-arms.
 const REPROBE_HOLDOFF: u64 = 4096;
-/// Gates of pure delegation before the probe first arms. Promotion cannot
-/// pay on a short program (the register migration alone costs more than
-/// replaying a few hundred gates eagerly), so short programs and startup
-/// phases run at plain-eager speed with zero profiling overhead; a real
-/// hot loop merely promotes a few windows later.
-const PROBE_WARMUP: u64 = 512;
 /// Demotions after which the file pins eager for good.
 const MAX_DEMOTIONS: u64 = 2;
 /// Slots in the shadow probe's direct-mapped seen-fingerprint table. A
@@ -117,16 +114,26 @@ enum Probe {
     Holdoff(u64),
 }
 
+/// The representation an [`AdaptiveFile`] delegates to.
+#[derive(Debug, Clone)]
+enum Inner {
+    /// Explicit vectors: the starting state, and the state after a
+    /// demotion.
+    Eager(Box<EagerFile>),
+    /// The promoted interning file.
+    Interned(InternedFile),
+    /// A caller-supplied file ([`AdaptiveFile::pinned`]).
+    Fixed(Box<dyn AobStorage>),
+}
+
 /// Adaptive register file. See the module docs for the policy.
 #[derive(Debug, Clone)]
 pub struct AdaptiveFile {
-    inner: Box<dyn AobStorage>,
+    inner: Inner,
     ways: u32,
     /// Pure delegation: never probe, never switch (beyond-`HW_MAX_WAYS`
     /// wrapper, or pinned eager after [`MAX_DEMOTIONS`]).
     pinned: bool,
-    /// True while `inner` is the promoted interning file.
-    promoted: bool,
     fp: Vec<u64>,
     /// Direct-mapped seen-fingerprint table (0 = empty slot).
     seen: Vec<u64>,
@@ -159,13 +166,12 @@ impl AdaptiveFile {
     /// worker then starts with the snapshot's op cache instead of cold.
     pub fn with_warm(ways: u32, constant_bank: bool, warm: Option<crate::WarmStoreId>) -> Self {
         AdaptiveFile {
-            inner: Box::new(EagerFile::new(ways, constant_bank)),
+            inner: Inner::Eager(Box::new(EagerFile::new(ways, constant_bank))),
             ways,
             pinned: false,
-            promoted: false,
             fp: Self::bank_fingerprints(ways, constant_bank),
             seen: vec![0; PROBE_SLOTS],
-            probe: Probe::Holdoff(REPROBE_HOLDOFF - PROBE_WARMUP),
+            probe: Probe::Active,
             window_gates: 0,
             window_hits: 0,
             cold_windows: 0,
@@ -182,10 +188,9 @@ impl AdaptiveFile {
     pub fn pinned(inner: Box<dyn AobStorage>) -> Self {
         let ways = inner.ways();
         AdaptiveFile {
-            inner,
+            inner: Inner::Fixed(inner),
             ways,
             pinned: true,
-            promoted: true,
             fp: vec![0; REG_COUNT],
             seen: Vec::new(),
             probe: Probe::Holdoff(0),
@@ -210,35 +215,55 @@ impl AdaptiveFile {
         fp
     }
 
-    /// True while the file is delegating to an interning representation.
+    /// True while the file is delegating to an interning representation
+    /// (or to the file [`AdaptiveFile::pinned`] wraps).
     pub fn is_promoted(&self) -> bool {
-        self.promoted
+        !matches!(self.inner, Inner::Eager(_))
     }
 
-    /// Move every architectural register into `to` and swap it in.
-    fn migrate(&mut self, mut to: Box<dyn AobStorage>) {
-        for r in 0..REG_COUNT {
-            let v = self.inner.read(r);
-            to.set(r, &v);
+    fn file(&self) -> &dyn AobStorage {
+        match &self.inner {
+            Inner::Eager(f) => f.as_ref(),
+            Inner::Interned(f) => f,
+            Inner::Fixed(f) => f.as_ref(),
+        }
+    }
+
+    fn file_mut(&mut self) -> &mut dyn AobStorage {
+        match &mut self.inner {
+            Inner::Eager(f) => f.as_mut(),
+            Inner::Interned(f) => f,
+            Inner::Fixed(f) => f.as_mut(),
+        }
+    }
+
+    /// Intern each register the eager file has used, once; the others
+    /// stay at the store's zero chunk.
+    fn promote(&mut self) {
+        let mut to = InternedFile::warmed(self.ways, false, self.warm);
+        if let Inner::Eager(from) = &mut self.inner {
+            for (r, v) in from.take_written() {
+                to.set_owned(r, v);
+            }
         }
         to.reset_stats();
-        self.inner = to;
-    }
-
-    fn promote(&mut self) {
-        let interned = crate::InternedFile::warmed(self.ways, false, self.warm);
-        self.migrate(Box::new(interned));
-        self.promoted = true;
+        self.inner = Inner::Interned(to);
         self.dwell = 0;
-        self.window_base = self.inner.intern_stats().unwrap_or_default();
+        self.window_base = self.file().intern_stats().unwrap_or_default();
         self.seen.fill(0);
         self.stats.promotions += 1;
         telem::PROMOTIONS.inc();
     }
 
+    /// Copy each nonzero register back into a fresh eager file.
     fn demote(&mut self) {
-        self.migrate(Box::new(EagerFile::new(self.ways, false)));
-        self.promoted = false;
+        let mut to = Box::new(EagerFile::new(self.ways, false));
+        if let Inner::Interned(from) = &self.inner {
+            for (r, v) in from.nonzero() {
+                to.set(r, v);
+            }
+        }
+        self.inner = Inner::Eager(to);
         self.stats.demotions += 1;
         telem::DEMOTIONS.inc();
         if self.stats.demotions >= MAX_DEMOTIONS {
@@ -274,7 +299,7 @@ impl AdaptiveFile {
     fn interned_window_end(&mut self) {
         self.window_gates = 0;
         self.dwell = self.dwell.saturating_add(1);
-        let now = self.inner.intern_stats().unwrap_or_default();
+        let now = self.file().intern_stats().unwrap_or_default();
         let hits = now.hits.saturating_sub(self.window_base.hits);
         let lookups = now.lookups().saturating_sub(self.window_base.lookups());
         self.window_base = now;
@@ -293,7 +318,7 @@ impl AdaptiveFile {
         if self.pinned {
             return;
         }
-        if self.promoted {
+        if self.is_promoted() {
             self.window_gates += 1;
             if self.window_gates >= WINDOW {
                 self.interned_window_end();
@@ -419,17 +444,17 @@ impl AobStorage for AdaptiveFile {
     }
 
     fn read(&self, r: usize) -> Aob {
-        self.inner.read(r)
+        self.file().read(r)
     }
 
     fn set(&mut self, r: usize, v: &Aob) {
         self.fp[r] = fingerprint_value(v);
-        self.inner.set(r, v);
+        self.file_mut().set(r, v);
     }
 
     fn apply_action(&mut self, act: GateAction, meter: bool) -> WriteDelta {
         self.observe(act);
-        self.inner.apply_action(act, meter)
+        self.file_mut().apply_action(act, meter)
     }
 
     fn gate_run(&mut self, actions: &[GateAction], meter: bool) -> WriteDelta {
@@ -437,23 +462,23 @@ impl AobStorage for AdaptiveFile {
         if self.pinned {
             // Pure delegation: account for the whole run in one step.
             self.stats.gates += n;
-            return self.inner.gate_run(actions, meter);
+            return self.file_mut().gate_run(actions, meter);
         }
-        if !self.promoted {
+        if !self.is_promoted() {
             if let Probe::Holdoff(h) = self.probe {
                 if h + n < REPROBE_HOLDOFF {
                     // The whole run lands inside the holdoff: bulk-advance
                     // the counters and skip the per-gate observe loop.
                     self.probe = Probe::Holdoff(h + n);
                     self.stats.gates += n;
-                    return self.inner.gate_run(actions, meter);
+                    return self.file_mut().gate_run(actions, meter);
                 }
             }
         }
         for &a in actions {
             self.observe(a);
         }
-        self.inner.gate_run(actions, meter)
+        self.file_mut().gate_run(actions, meter)
     }
 
     fn wants_fusion(&self) -> bool {
@@ -463,31 +488,31 @@ impl AobStorage for AdaptiveFile {
     }
 
     fn meas(&self, r: usize, e: u64) -> bool {
-        self.inner.meas(r, e)
+        self.file().meas(r, e)
     }
 
     fn next(&self, r: usize, d: u64) -> Option<u64> {
-        self.inner.next(r, d)
+        self.file().next(r, d)
     }
 
     fn pop_after(&self, r: usize, d: u64) -> u64 {
-        self.inner.pop_after(r, d)
+        self.file().pop_after(r, d)
     }
 
     fn intern_stats(&self) -> Option<InternStats> {
-        self.inner.intern_stats()
+        self.file().intern_stats()
     }
 
     fn chunk_store(&self) -> Option<&ChunkStore> {
-        self.inner.chunk_store()
+        self.file().chunk_store()
     }
 
     fn packed_stats(&self) -> Option<PackedStats> {
-        self.inner.packed_stats()
+        self.file().packed_stats()
     }
 
     fn materializations(&self) -> u64 {
-        self.inner.materializations()
+        self.file().materializations()
     }
 
     fn adaptive_stats(&self) -> Option<AdaptiveStats> {
@@ -495,7 +520,7 @@ impl AobStorage for AdaptiveFile {
     }
 
     fn reset_stats(&mut self) {
-        self.inner.reset_stats();
+        self.file_mut().reset_stats();
     }
 
     fn clone_box(&self) -> Box<dyn AobStorage> {

@@ -104,13 +104,15 @@ impl PackedStats {
 pub enum StorageBackend {
     /// Explicit `2^WAYS`-bit vectors, word-loop gate kernels.
     Eager,
-    /// Hash-consed chunk ids with memoized gate kernels (the default).
+    /// Hash-consed chunk ids with memoized gate kernels; the only backend
+    /// whose chunk store warm snapshots save and load.
     Interned,
     /// Run-length-compressed RE symbols; supports `ways` beyond the
     /// hardware's 16 on structured states.
     SparseRe,
     /// Starts eager per register and promotes to an interning inner file
-    /// when dedup telemetry says the overhead pays for itself.
+    /// when dedup telemetry says the overhead pays for itself (the
+    /// default).
     Adaptive,
 }
 
@@ -358,13 +360,20 @@ fn meter_delta(old: &Aob, new: &Aob) -> WriteDelta {
 
 /// Register file where every register owns an explicit [`Aob`].
 ///
-/// Unmetered gates run single-pass vectorized kernels straight into two
-/// reusable scratch buffers and swap the result in — zero steady-state
+/// A register holds no words until a gate (or [`AobStorage::set`]) first
+/// uses it; until then it reads as zeros, so building a file costs nothing
+/// beyond the constant bank, and a program pays only for the registers it
+/// names. Unmetered gates run single-pass vectorized kernels straight into
+/// two reusable scratch buffers and swap the result in — zero steady-state
 /// allocation and one pass over the words. Metered gates keep the
 /// value-snapshot path, which needs the old value anyway.
 #[derive(Debug, Clone)]
 pub struct EagerFile {
+    /// The registers in use, in first-use order.
     regs: Vec<Aob>,
+    /// Where each architectural register lives in `regs`; `None` while
+    /// it holds no words.
+    slot: [Option<u8>; REG_COUNT],
     ways: u32,
     scratch: Vec<u64>,
     scratch2: Vec<u64>,
@@ -379,18 +388,72 @@ impl EagerFile {
 
     /// All registers zero, or preloaded with the §5 constant bank.
     pub fn new(ways: u32, constant_bank: bool) -> Self {
-        let mut regs = vec![Aob::zeros(ways); REG_COUNT];
+        let mut f = EagerFile {
+            regs: Vec::new(),
+            slot: [None; REG_COUNT],
+            ways,
+            scratch: Vec::new(),
+            scratch2: Vec::new(),
+        };
         if constant_bank {
-            for (i, c) in Aob::constant_bank(ways).into_iter().enumerate() {
-                regs[i] = c;
+            for (r, c) in Aob::constant_bank(ways).into_iter().enumerate() {
+                f.put(r, c);
             }
         }
-        EagerFile { regs, ways, scratch: Vec::new(), scratch2: Vec::new() }
+        f
     }
 
-    fn commit(&mut self, r: usize, v: Aob, meter: bool) -> WriteDelta {
-        let d = if meter { meter_delta(&self.regs[r], &v) } else { WriteDelta::default() };
-        self.regs[r] = v;
+    /// Store `v` as register `r`'s value.
+    fn put(&mut self, r: usize, v: Aob) {
+        match self.slot[r] {
+            Some(i) => self.regs[i as usize] = v,
+            None => {
+                // At most REG_COUNT registers are live, so `len` fits a u8.
+                self.slot[r] = Some(self.regs.len() as u8);
+                self.regs.push(v);
+            }
+        }
+    }
+
+    /// Register `r`'s value, `None` while it holds no words (reads as
+    /// zeros).
+    fn get(&self, r: usize) -> Option<&Aob> {
+        self.slot[r].map(|i| &self.regs[i as usize])
+    }
+
+    /// Index into `regs` of a register [`EagerFile::materialize`] made
+    /// live.
+    fn at(&self, r: u8) -> usize {
+        self.slot[r as usize].expect("gate operands are materialized first") as usize
+    }
+
+    /// Give every register `act` reads or writes its words, allocating
+    /// zeros for the ones in first use.
+    fn materialize(&mut self, act: GateAction) {
+        let ((srcs, ns), (dsts, nd)) = (act.srcs(), act.dests());
+        for &r in srcs[..ns].iter().chain(&dsts[..nd]) {
+            if self.slot[r as usize].is_none() {
+                self.put(r as usize, Aob::zeros(self.ways));
+            }
+        }
+    }
+
+    /// Move out every register that holds words, leaving the file all
+    /// unwritten: what a promotion to another representation must carry.
+    pub(crate) fn take_written(&mut self) -> impl Iterator<Item = (usize, Aob)> {
+        let mut owner = [0usize; REG_COUNT];
+        for (r, s) in self.slot.iter_mut().enumerate() {
+            if let Some(i) = s.take() {
+                owner[i as usize] = r;
+            }
+        }
+        owner.into_iter().zip(std::mem::take(&mut self.regs))
+    }
+
+    /// Replace the value at `regs[i]`.
+    fn commit(&mut self, i: usize, v: Aob, meter: bool) -> WriteDelta {
+        let d = if meter { meter_delta(&self.regs[i], &v) } else { WriteDelta::default() };
+        self.regs[i] = v;
         d
     }
 
@@ -399,23 +462,25 @@ impl EagerFile {
     /// on input words `i` — which is what makes the blocked schedule of
     /// [`AobStorage::gate_run`] legal: applying the gates in order within
     /// each strip produces bit-identical results to applying each gate
-    /// over the whole register file.
+    /// over the whole register file. The action's registers must be
+    /// materialized.
     fn strip_step(&mut self, act: GateAction, lo: usize, hi: usize) {
         match act {
             GateAction::Const(r, k) => {
-                let ways = self.ways;
-                let strip = &mut self.regs[r as usize].words_mut()[lo..hi];
+                let (ways, r) = (self.ways, self.at(r));
+                let strip = &mut self.regs[r].words_mut()[lo..hi];
                 for (i, w) in strip.iter_mut().enumerate() {
                     *w = const_word(k, ways, lo + i);
                 }
             }
             GateAction::Not(r) => {
-                for w in &mut self.regs[r as usize].words_mut()[lo..hi] {
+                let r = self.at(r);
+                for w in &mut self.regs[r].words_mut()[lo..hi] {
                     *w = !*w;
                 }
             }
             GateAction::Bin(op, a, b, c) => {
-                let (a, b, c) = (a as usize, b as usize, c as usize);
+                let (a, b, c) = (self.at(a), self.at(b), self.at(c));
                 match op {
                     GateOp::And => self.bin_strip(a, b, c, lo, hi, |p, q| p & q),
                     GateOp::Or => self.bin_strip(a, b, c, lo, hi, |p, q| p | q),
@@ -423,7 +488,7 @@ impl EagerFile {
                 }
             }
             GateAction::Ccnot(a, b, c) => {
-                let (a, b, c) = (a as usize, b as usize, c as usize);
+                let (a, b, c) = (self.at(a), self.at(b), self.at(c));
                 let regs = &mut self.regs[..];
                 if b == c {
                     // `a ^= b & b` = `a ^= b`; with `a == b` that zeroes.
@@ -455,7 +520,8 @@ impl EagerFile {
             }
             GateAction::Swap(a, b) => {
                 if a != b {
-                    let (av, bv) = pair_mut(&mut self.regs, a as usize, b as usize);
+                    let (a, b) = (self.at(a), self.at(b));
+                    let (av, bv) = pair_mut(&mut self.regs, a, b);
                     av.words_mut()[lo..hi].swap_with_slice(&mut bv.words_mut()[lo..hi]);
                 }
             }
@@ -467,10 +533,11 @@ impl EagerFile {
                 }
                 // The selector may alias either swap operand; a stack
                 // copy of its strip makes every case uniform.
+                let (a, b, c) = (self.at(a), self.at(b), self.at(c));
                 let mut sel = [0u64; STRIP_WORDS];
                 let n = hi - lo;
-                sel[..n].copy_from_slice(&self.regs[c as usize].words()[lo..hi]);
-                let (av, bv) = pair_mut(&mut self.regs, a as usize, b as usize);
+                sel[..n].copy_from_slice(&self.regs[c].words()[lo..hi]);
+                let (av, bv) = pair_mut(&mut self.regs, a, b);
                 let (aw, bw) = (&mut av.words_mut()[lo..hi], &mut bv.words_mut()[lo..hi]);
                 for ((x, y), &s) in aw.iter_mut().zip(bw.iter_mut()).zip(&sel[..n]) {
                     let (ta, tb) = (*x, *y);
@@ -583,14 +650,15 @@ impl AobStorage for EagerFile {
     }
 
     fn read(&self, r: usize) -> Aob {
-        self.regs[r].clone()
+        self.get(r).cloned().unwrap_or_else(|| Aob::zeros(self.ways))
     }
 
     fn set(&mut self, r: usize, v: &Aob) {
-        self.regs[r] = v.clone();
+        self.put(r, v.clone());
     }
 
     fn apply_action(&mut self, act: GateAction, meter: bool) -> WriteDelta {
+        self.materialize(act);
         match act {
             GateAction::Const(r, kind) => {
                 let v = match kind {
@@ -598,10 +666,10 @@ impl AobStorage for EagerFile {
                     ConstKind::Ones => Aob::ones(self.ways),
                     ConstKind::Hadamard(k) => Aob::hadamard(self.ways, k),
                 };
-                self.commit(r as usize, v, meter)
+                self.commit(self.at(r), v, meter)
             }
             GateAction::Not(r) => {
-                let r = r as usize;
+                let r = self.at(r);
                 if !meter {
                     self.regs[r].not_assign();
                     return WriteDelta::default();
@@ -610,7 +678,7 @@ impl AobStorage for EagerFile {
                 self.commit(r, v, meter)
             }
             GateAction::Bin(op, a, b, c) => {
-                let (a, b, c) = (a as usize, b as usize, c as usize);
+                let (a, b, c) = (self.at(a), self.at(b), self.at(c));
                 if !meter {
                     let (x, y) = (self.regs[b].words(), self.regs[c].words());
                     let s = &mut self.scratch;
@@ -631,7 +699,7 @@ impl AobStorage for EagerFile {
                 self.commit(a, v, meter)
             }
             GateAction::Ccnot(a, b, c) => {
-                let (a, b, c) = (a as usize, b as usize, c as usize);
+                let (a, b, c) = (self.at(a), self.at(b), self.at(c));
                 if !meter {
                     crate::gates::zip3_into(
                         &mut self.scratch,
@@ -648,17 +716,17 @@ impl AobStorage for EagerFile {
                 self.commit(a, v, meter)
             }
             GateAction::Swap(a, b) => {
-                let (a, b) = (a as usize, b as usize);
                 let mut d = WriteDelta::default();
                 if meter {
-                    d.merge(meter_delta(&self.regs[a], &self.regs[b]));
-                    d.merge(meter_delta(&self.regs[b], &self.regs[a]));
+                    let (va, vb) = (&self.regs[self.at(a)], &self.regs[self.at(b)]);
+                    d.merge(meter_delta(va, vb));
+                    d.merge(meter_delta(vb, va));
                 }
-                self.regs.swap(a, b);
+                self.slot.swap(a as usize, b as usize);
                 d
             }
             GateAction::Cswap(a, b, c) => {
-                let (a, b, c) = (a as usize, b as usize, c as usize);
+                let (a, b, c) = (self.at(a), self.at(b), self.at(c));
                 if !meter {
                     if a == b {
                         // Swapping a register with itself in any channel
@@ -696,6 +764,9 @@ impl AobStorage for EagerFile {
             }
             return d;
         }
+        for &act in actions {
+            self.materialize(act);
+        }
         // Blocked schedule: all gates over one strip, then the next strip.
         // Legal because every gate is word-element-wise (see `strip_step`);
         // the payoff is that a register read by several gates of the run
@@ -712,15 +783,15 @@ impl AobStorage for EagerFile {
     }
 
     fn meas(&self, r: usize, e: u64) -> bool {
-        self.regs[r].meas(e)
+        self.get(r).is_some_and(|v| v.meas(e))
     }
 
     fn next(&self, r: usize, d: u64) -> Option<u64> {
-        self.regs[r].next(d)
+        self.get(r)?.next(d)
     }
 
     fn pop_after(&self, r: usize, d: u64) -> u64 {
-        self.regs[r].pop_after(d)
+        self.get(r).map_or(0, |v| v.pop_after(d))
     }
 
     fn clone_box(&self) -> Box<dyn AobStorage> {
@@ -800,6 +871,17 @@ impl InternedFile {
         }
     }
 
+    /// Intern `v` as register `r`'s value, without copying it.
+    pub(crate) fn set_owned(&mut self, r: usize, v: Aob) {
+        self.ids[r] = self.store.intern(v);
+    }
+
+    /// Every register that does not hold zeros, with its value.
+    pub(crate) fn nonzero(&self) -> impl Iterator<Item = (usize, &Aob)> {
+        let ids = self.ids.iter().enumerate().filter(|(_, &id)| id != ID_ZERO);
+        ids.map(|(r, &id)| (r, self.store.aob(id)))
+    }
+
     fn commit(&mut self, r: usize, id: ChunkId, meter: bool) -> WriteDelta {
         let old = self.ids[r];
         self.ids[r] = id;
@@ -827,7 +909,7 @@ impl AobStorage for InternedFile {
     }
 
     fn set(&mut self, r: usize, v: &Aob) {
-        self.ids[r] = self.store.intern(v.clone());
+        self.set_owned(r, v.clone());
     }
 
     fn apply_action(&mut self, act: GateAction, meter: bool) -> WriteDelta {

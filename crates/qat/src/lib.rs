@@ -15,13 +15,15 @@
 //!   [`backend_registry`]:
 //!   [`eager`](pbp_aob::EagerFile) explicit bit-vectors,
 //!   [`interned`](pbp_aob::InternedFile) hash-consed chunk ids with
-//!   memoized gate kernels (the default — the PBP redundancy argument of
-//!   §2.2), and the [`sparse-re`](pbp::SparseReFile) run-length-compressed
-//!   file that executes gates by RE rewriting and so supports `ways` up
-//!   to 32 on structured states (§3.3's scaling story moved inside the
-//!   coprocessor). All three are architecturally bit-identical where their
-//!   `ways` ranges overlap, and the differential fuzzer runs them as
-//!   oracle pairs.
+//!   memoized gate kernels (the PBP redundancy argument of §2.2), the
+//!   [`sparse-re`](pbp::SparseReFile) run-length-compressed file that
+//!   executes gates by RE rewriting and so supports `ways` up to 32 on
+//!   structured states (§3.3's scaling story moved inside the
+//!   coprocessor), and the default, [`adaptive`](pbp_aob::AdaptiveFile),
+//!   which runs eager and promotes to interned when values repeat (and
+//!   wraps sparse-re past 16 ways). All four are architecturally
+//!   bit-identical where their `ways` ranges overlap, and the
+//!   differential fuzzer runs them as oracle pairs.
 //! * [`PortStats`] — read/write-port usage accounting. The paper's §5
 //!   conclusions hinge on which instructions need a third read port
 //!   (`ccnot`, `cswap`) or a second write port (`swap`, `cswap`); the
@@ -117,13 +119,14 @@ pub struct QatConfig {
 
 impl QatConfig {
     /// The paper's full-size configuration: 16-way, instruction-based
-    /// initialization, no metering, interned register file.
+    /// initialization, no metering, adaptive register file (explicit
+    /// vectors like the hardware's, interned once values repeat).
     pub fn paper() -> Self {
         QatConfig {
             ways: 16,
             constant_registers: false,
             meter_energy: false,
-            backend: StorageBackend::Interned,
+            backend: StorageBackend::Adaptive,
             fusion: true,
             warm: None,
         }
@@ -792,7 +795,7 @@ mod tests {
     /// Replaying an already-seen gate sequence is pure cache hits.
     #[test]
     fn second_pass_is_all_hits() {
-        let mut c = coproc(8);
+        let mut c = QatCoprocessor::new(QatConfig::with_backend(StorageBackend::Interned, 8));
         let pass = [
             Insn::QHad { a: q(0), k: 1 },
             Insn::QHad { a: q(1), k: 6 },

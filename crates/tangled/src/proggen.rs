@@ -798,9 +798,11 @@ mod tests {
         assert!(!had_ks.is_empty());
         // The stressed programs still run and hit the op cache hard.
         let prog = random_program(1, &opts);
-        let mut m = machine_for(&encode_program(&prog), 8);
+        let qat = QatConfig::with_backend(qat_coproc::StorageBackend::Interned, 8);
+        let cfg = MachineConfig { qat, max_steps: 200_000 };
+        let mut m = Machine::with_image(cfg, &encode_program(&prog));
         m.run().unwrap();
-        let stats = m.qat.intern_stats().expect("default config interns");
+        let stats = m.qat.intern_stats().expect("the interned backend interns");
         assert!(stats.hits > 0, "{stats:?}");
     }
 

@@ -160,12 +160,14 @@ mod tests {
         telemetry::set_mode(telemetry::Mode::Counters);
         let base = telemetry::Snapshot::take();
         let img = assemble_ok("had @1,0\nhad @2,1\nxor @3,@1,@2\nxor @4,@1,@2\nsys\n");
-        let mut m = Machine::with_image(MachineConfig::default(), &img.words);
+        let mut cfg = MachineConfig::default();
+        cfg.qat.backend = qat_coproc::StorageBackend::Interned;
+        let mut m = Machine::with_image(cfg, &img.words);
         m.run().unwrap();
         let snap = telemetry::Snapshot::take().delta(&base);
         telemetry::set_mode(telemetry::Mode::Off);
         // Registry agrees with the store's own (still public) stats.
-        let stats = m.qat.intern_stats().expect("default config interns");
+        let stats = m.qat.intern_stats().expect("the interned backend interns");
         assert!(stats.hits >= 1, "{stats:?}");
         assert!(snap.get("intern.hits") >= stats.hits);
         assert_eq!(snap.get("tangled.retire.qxor"), 2);

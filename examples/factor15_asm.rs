@@ -9,8 +9,9 @@
 //! covering every simulator invocation, and a Chrome `trace_event` JSON
 //! of the 4-stage pipelined run (load it in https://ui.perfetto.dev).
 //!
-//! `--qat-backend eager|interned|sparse-re` selects the Qat register-file
-//! storage backend (with sparse-re the same program also runs at 20-way
+//! `--qat-backend eager|interned|sparse-re|adaptive` selects the Qat
+//! register-file storage backend, `QatConfig::paper()`'s by default
+//! (with sparse-re the same program also runs at 20-way
 //! entanglement — the §3.3 beyond-WAYS scaling, registers never
 //! materialized).
 
@@ -27,12 +28,13 @@ use tangled_qat::telemetry::{self, export};
 /// in the metrics file.
 static METER_ENERGY: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
-/// Backend selected by `--qat-backend` (raw `u8` of the enum; default
-/// interned).
-static BACKEND: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(1);
+/// Backend selected by `--qat-backend` (raw `u8` of the enum), or
+/// `u8::MAX` for `QatConfig::paper()`'s.
+static BACKEND: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(u8::MAX);
 
 fn backend() -> StorageBackend {
-    StorageBackend::ALL[BACKEND.load(std::sync::atomic::Ordering::Relaxed) as usize]
+    let i = BACKEND.load(std::sync::atomic::Ordering::Relaxed) as usize;
+    StorageBackend::ALL.get(i).copied().unwrap_or(QatConfig::paper().backend)
 }
 
 fn machine_at(words: &[u16], ways: u32) -> Machine {

@@ -96,8 +96,8 @@ OPTIONS:
   --len N                  body instructions per program (default 60)
   --ways W                 Qat entanglement degree (default 8)
   --qat-backend B          Qat register-file storage backend for the
-                           reference run: eager|interned|sparse-re
-                           (default interned); every other registered
+                           reference run: eager|interned|sparse-re|adaptive
+                           (default adaptive); every other registered
                            backend supporting W becomes an oracle
   --profile P              balanced|alu|qat|branch|mem (default: round-robin)
   --corpus DIR             reproducer corpus directory (default fuzz/corpus);

@@ -20,6 +20,8 @@
 //!     --store-in F      warm the Qat register file from a ChunkStore
 //!                       snapshot (tangled-store/v1, kind `chunks`)
 //!     --store-out F     save the run's interned ChunkStore as a snapshot
+//!                       (`--qat-backend interned`, or an adaptive run that
+//!                       promoted)
 //! tangled serve <prog.s>... [opts]       run many programs on the job pool
 //!     --workers N       worker threads (default 2)
 //!     --model NAME      run each program on one registry model instead of
@@ -628,110 +630,116 @@ struct Debugger {
 }
 
 impl Debugger {
+    /// A debugger stopped before the first instruction of `path`, on the
+    /// default Qat backend at `ways`.
+    fn load(path: &str, ways: u32) -> Result<Debugger, String> {
+        runner::check_ways(QatConfig::paper().backend, ways, false)?;
+        let words = runner::load_words(path, false)?;
+        let mcfg = MachineConfig { qat: QatConfig::with_ways(ways), ..Default::default() };
+        Ok(Debugger { machine: Machine::with_image(mcfg, &words), breakpoints: Default::default() })
+    }
+
     fn prompt_loop(&mut self) -> Result<(), String> {
         use std::io::BufRead;
         let stdin = std::io::stdin();
         println!("tangled debugger — 's' step, 'r' run, 'b <addr>' break, 'regs', 'q <n>', 'm <addr>', 'l', 'quit'");
         self.show_location();
         for line in stdin.lock().lines() {
-            let line = line.map_err(|e| e.to_string())?;
-            let mut parts = line.split_whitespace();
-            match parts.next() {
-                None => continue,
-                Some("s") | Some("step") => {
-                    let n: u64 = parts.next().and_then(|t| t.parse().ok()).unwrap_or(1);
-                    for _ in 0..n {
-                        if self.machine.halted {
-                            println!("machine is halted");
-                            break;
-                        }
-                        match self.machine.step() {
-                            Ok(ev) => {
-                                println!(
-                                    "{:04x}: {}{}",
-                                    ev.pc,
-                                    tangled_qat::isa::disassemble(ev.insn),
-                                    if ev.taken { "   [taken]" } else { "" }
-                                );
-                            }
-                            Err(e) => {
-                                println!("fault: {e}");
-                                break;
-                            }
-                        }
-                    }
-                    self.show_location();
-                }
-                Some("r") | Some("run") => {
-                    while !self.machine.halted {
-                        if let Err(e) = self.machine.step() {
-                            println!("fault: {e}");
-                            break;
-                        }
-                        if self.breakpoints.contains(&self.machine.pc) {
-                            println!("breakpoint at {:04x}", self.machine.pc);
-                            break;
-                        }
-                    }
-                    if self.machine.halted {
-                        println!("halted after {} instructions", self.machine.steps);
-                    }
-                    self.show_location();
-                }
-                Some("b") | Some("break") => match parts.next().map(parse_addr) {
-                    Some(Some(a)) => {
-                        if self.breakpoints.remove(&a) {
-                            println!("breakpoint at {a:04x} removed");
-                        } else {
-                            self.breakpoints.insert(a);
-                            println!("breakpoint at {a:04x} set");
-                        }
-                    }
-                    _ => println!("usage: b <addr>"),
-                },
-                Some("regs") => {
-                    for (i, v) in self.machine.regs.iter().enumerate() {
-                        print!("${i}={v:#06x} ");
-                        if i % 4 == 3 {
-                            println!();
-                        }
-                    }
-                    println!("pc={:04x} halted={}", self.machine.pc, self.machine.halted);
-                }
-                Some("q") => match parts.next().and_then(|t| t.parse::<u8>().ok()) {
-                    Some(n) => {
-                        let r = self.machine.qat.reg(tangled_qat::isa::QReg(n));
-                        let ones: Vec<u64> = r.enumerate_ones().into_iter().take(8).collect();
-                        println!(
-                            "@{n}: {}-way, pop {} / {}, first 1-channels {:?}",
-                            r.ways(),
-                            r.pop_all(),
-                            r.len(),
-                            ones
-                        );
-                    }
-                    None => println!("usage: q <0..255>"),
-                },
-                Some("m") | Some("mem") => match parts.next().map(parse_addr) {
-                    Some(Some(a)) => {
-                        print!("{a:04x}:");
-                        for i in 0..8u16 {
-                            print!(" {:04x}", self.machine.mem[a.wrapping_add(i) as usize]);
-                        }
-                        println!();
-                    }
-                    _ => println!("usage: m <addr>"),
-                },
-                Some("l") | Some("list") => {
-                    let pc = self.machine.pc as usize;
-                    let hi = (pc + 12).min(self.machine.mem.len());
-                    print!("{}", tangled_qat::isa::disasm::listing(&self.machine.mem[pc..hi]));
-                }
-                Some("quit") | Some("exit") => break,
-                Some(other) => println!("unknown command `{other}`"),
+            if !self.command(&line.map_err(|e| e.to_string())?) {
+                break;
             }
         }
         Ok(())
+    }
+
+    /// Run one command line; `false` once it asks to quit.
+    fn command(&mut self, line: &str) -> bool {
+        let mut parts = line.split_whitespace();
+        match parts.next() {
+            None => {}
+            Some("s") | Some("step") => {
+                let n: u64 = parts.next().and_then(|t| t.parse().ok()).unwrap_or(1);
+                for _ in 0..n {
+                    if self.machine.halted {
+                        println!("machine is halted");
+                        break;
+                    }
+                    match self.machine.step() {
+                        Ok(ev) => {
+                            println!(
+                                "{:04x}: {}{}",
+                                ev.pc,
+                                tangled_qat::isa::disassemble(ev.insn),
+                                if ev.taken { "   [taken]" } else { "" }
+                            );
+                        }
+                        Err(e) => {
+                            println!("fault: {e}");
+                            break;
+                        }
+                    }
+                }
+                self.show_location();
+            }
+            Some("r") | Some("run") => {
+                while !self.machine.halted {
+                    if let Err(e) = self.machine.step() {
+                        println!("fault: {e}");
+                        break;
+                    }
+                    if self.breakpoints.contains(&self.machine.pc) {
+                        println!("breakpoint at {:04x}", self.machine.pc);
+                        break;
+                    }
+                }
+                if self.machine.halted {
+                    println!("halted after {} instructions", self.machine.steps);
+                }
+                self.show_location();
+            }
+            Some("b") | Some("break") => match parts.next().map(parse_addr) {
+                Some(Some(a)) => {
+                    if self.breakpoints.remove(&a) {
+                        println!("breakpoint at {a:04x} removed");
+                    } else {
+                        self.breakpoints.insert(a);
+                        println!("breakpoint at {a:04x} set");
+                    }
+                }
+                _ => println!("usage: b <addr>"),
+            },
+            Some("regs") => {
+                for (i, v) in self.machine.regs.iter().enumerate() {
+                    print!("${i}={v:#06x} ");
+                    if i % 4 == 3 {
+                        println!();
+                    }
+                }
+                println!("pc={:04x} halted={}", self.machine.pc, self.machine.halted);
+            }
+            Some("q") => match parts.next().and_then(|t| t.parse::<u8>().ok()) {
+                Some(n) => println!("@{n}: {}", describe_qreg(self.machine.qat.storage(), n)),
+                None => println!("usage: q <0..255>"),
+            },
+            Some("m") | Some("mem") => match parts.next().map(parse_addr) {
+                Some(Some(a)) => {
+                    print!("{a:04x}:");
+                    for i in 0..8u16 {
+                        print!(" {:04x}", self.machine.mem[a.wrapping_add(i) as usize]);
+                    }
+                    println!();
+                }
+                _ => println!("usage: m <addr>"),
+            },
+            Some("l") | Some("list") => {
+                let pc = self.machine.pc as usize;
+                let hi = (pc + 12).min(self.machine.mem.len());
+                print!("{}", tangled_qat::isa::disasm::listing(&self.machine.mem[pc..hi]));
+            }
+            Some("quit") | Some("exit") => return false,
+            Some(other) => println!("unknown command `{other}`"),
+        }
+        true
     }
 
     fn show_location(&self) {
@@ -744,6 +752,18 @@ impl Debugger {
             Err(e) => println!("=> {e}"),
         }
     }
+}
+
+/// The debugger's `q` line for register `r`: degree, population and the
+/// first eight 1-channels. It reads through the measurement datapath, so
+/// no register is materialized (a 32-way sparse-re register has no
+/// explicit vector).
+fn describe_qreg(f: &dyn tangled_qat::aob::AobStorage, r: u8) -> String {
+    let r = r as usize;
+    let first = if f.meas(r, 0) { Some(0) } else { f.next(r, 0) };
+    let ones: Vec<u64> = std::iter::successors(first, |&e| f.next(r, e)).take(8).collect();
+    let pop = u64::from(f.meas(r, 0)) + f.pop_after(r, 0);
+    format!("{}-way, pop {pop} / {}, first 1-channels {ones:?}", f.ways(), 1u64 << f.ways())
 }
 
 fn parse_addr(t: &str) -> Option<u16> {
@@ -881,14 +901,7 @@ fn cmd_debug(path: &str, args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown option `{other}`")),
         }
     }
-    runner::check_ways(QatConfig::paper().backend, ways, false)?;
-    let words = runner::load_words(path, false)?;
-    let mcfg = MachineConfig { qat: QatConfig::with_ways(ways), ..Default::default() };
-    let mut dbg = Debugger {
-        machine: Machine::with_image(mcfg, &words),
-        breakpoints: Default::default(),
-    };
-    dbg.prompt_loop()
+    Debugger::load(path, ways)?.prompt_loop()
 }
 
 /// `tangled corpus` — manage the content-addressed corpus database
@@ -1021,6 +1034,46 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("tangled: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Every spelling the debugger's parser knows, so generated lines reach
+    /// each command's argument handling and not only the unknown-command
+    /// arm.
+    const COMMANDS: [&str; 14] =
+        ["s", "step", "r", "run", "b", "break", "regs", "q", "m", "mem", "l", "list", "quit", "exit"];
+
+    /// A hostile command line: printable garbage, a command with a garbage
+    /// tail, or a command with a number, in range or overflowing its
+    /// operand.
+    fn line() -> impl Strategy<Value = String> {
+        let n = prop_oneof![0u32..300, 0u32..70_000];
+        prop_oneof![
+            "[ -~]{0,30}",
+            (0..COMMANDS.len(), "[ -~]{0,12}").prop_map(|(c, t)| format!("{} {t}", COMMANDS[c])),
+            (0..COMMANDS.len(), n).prop_map(|(c, n)| format!("{} {n}", COMMANDS[c])),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn debugger_never_panics_on_garbage(
+            ways in prop_oneof![Just(8u32), Just(32)],
+            lines in proptest::collection::vec(line(), 0..10),
+        ) {
+            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/asm/factor15.s");
+            let mut dbg = Debugger::load(path, ways).unwrap();
+            for l in &lines {
+                dbg.command(l); // any output is fine; panics are not
+            }
         }
     }
 }

@@ -133,23 +133,24 @@ fn errors_are_reported_not_panicked() {
     }
 }
 
-#[test]
-fn debugger_scripted_session() {
+/// Drive `tangled debug` on an example program with a scripted stdin.
+fn debug_session(prog: &str, ways: &str, script: &[u8]) -> std::process::Output {
     use std::io::Write;
     use std::process::Stdio;
     let mut child = Command::new(env!("CARGO_BIN_EXE_tangled"))
-        .args(["debug", &asm_path("counting.s"), "--ways", "8"])
+        .args(["debug", &asm_path(prog), "--ways", ways])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("spawn");
-    child
-        .stdin
-        .as_mut()
-        .unwrap()
-        .write_all(b"s 2\nregs\nb 5\nr\nq 3\nm 0\nl\nbogus\nquit\n")
-        .unwrap();
-    let out = child.wait_with_output().unwrap();
+    child.stdin.as_mut().unwrap().write_all(script).unwrap();
+    child.wait_with_output().unwrap()
+}
+
+#[test]
+fn debugger_scripted_session() {
+    let out = debug_session("counting.s", "8", b"s 2\nregs\nb 5\nr\nq 3\nm 0\nl\nbogus\nquit\n");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("lex $1,5"), "{text}");
@@ -157,6 +158,19 @@ fn debugger_scripted_session() {
     assert!(text.contains("breakpoint at 0005 set"));
     assert!(text.contains("breakpoint at 0005\n") || text.contains("halted"));
     assert!(text.contains("unknown command `bogus`"));
+}
+
+/// `q <n>` answers from the measurement datapath, so it inspects a 32-way
+/// register, which no explicit vector can hold, without materializing it.
+#[test]
+fn debugger_inspects_a_32_way_register() {
+    let out = debug_session("factor15.s", "32", b"s 3\nq 2\nquit\n");
+    let (text, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(out.status.success(), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    // @2 = H(3) & H(5): a quarter of the 2^32 channels.
+    assert!(text.contains("@2: 32-way, pop 1073741824 / 4294967296"), "{text}");
 }
 
 #[test]

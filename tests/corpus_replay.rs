@@ -150,7 +150,7 @@ fn corpus_intern_counters_replay_deterministically() {
         let stats_of = || {
             let mut m = Machine::with_image(cfg.machine_config(), &img.words);
             let _ = m.run(); // faulting reproducers still leave valid stats
-            m.qat.intern_stats().expect("diff config interns by default")
+            m.qat.intern_stats().expect("the interned backend interns")
         };
         let first = stats_of();
         let second = stats_of();

@@ -7,6 +7,7 @@
 //! oracle actually discriminates, and the shrinker must cut its reproducer
 //! to at most 8 instructions.
 
+use tangled_qat::qat::StorageBackend;
 use tangled_qat::sim::difftest::{
     compare_all, diff_outcomes, forwarding_bug_diverges, run_forwarding_bug, run_functional,
     DiffConfig,
@@ -70,7 +71,7 @@ fn fault_adjacent_population_agrees() {
 /// cache's counters must replay bit-identically on a fresh store.
 #[test]
 fn intern_stress_population_agrees_and_counters_replay() {
-    let cfg = DiffConfig::default();
+    let cfg = DiffConfig { backend: StorageBackend::Interned, ..Default::default() };
     let opts = ProgGenOptions {
         profile: Profile::QatHeavy,
         intern_stress: true,
@@ -79,7 +80,7 @@ fn intern_stress_population_agrees_and_counters_replay() {
     let stats_of = |words: &[u16]| {
         let mut m = Machine::with_image(cfg.machine_config(), words);
         let _ = m.run(); // step-limit faults still leave valid stats
-        m.qat.intern_stats().expect("diff config interns by default")
+        m.qat.intern_stats().expect("the interned backend interns")
     };
     let mut total_hits = 0u64;
     for seed in 0..32u64 {

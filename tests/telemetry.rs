@@ -39,7 +39,7 @@ fn run_factor15(extra: &[&str]) -> String {
 #[test]
 fn metrics_json_matches_golden_schema() {
     let path = out_path("schema-metrics.json");
-    run_factor15(&["--metrics-out", path.to_str().unwrap()]);
+    run_factor15(&["--qat-backend", "interned", "--metrics-out", path.to_str().unwrap()]);
     let text = std::fs::read_to_string(&path).expect("metrics file written");
     let doc = Json::parse(&text).expect("metrics.json parses");
 
@@ -276,12 +276,16 @@ fn store_and_corpus_counters_ride_the_v2_export() {
     let snap_path = out_path("store-snap.tgls");
     let (m_cold, m_warm) = (out_path("store-cold.json"), out_path("store-warm.json"));
     run_factor15(&[
+        "--qat-backend",
+        "interned",
         "--store-out",
         snap_path.to_str().unwrap(),
         "--metrics-out",
         m_cold.to_str().unwrap(),
     ]);
     run_factor15(&[
+        "--qat-backend",
+        "interned",
         "--store-in",
         snap_path.to_str().unwrap(),
         "--metrics-out",
