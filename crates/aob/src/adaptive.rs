@@ -10,22 +10,17 @@
 //! guessing:
 //!
 //! * It starts as a plain [`EagerFile`], whose registers hold no words
-//!   until first used, and runs a cheap **shadow probe** from the first
-//!   gate on, beside the vectorized kernels: every register carries a
-//!   64-bit fingerprint, every gate derives an operation fingerprint from
-//!   its operands' fingerprints, and a capped set of seen fingerprints
+//!   until first used, and runs a cheap **shadow probe** on every gate,
+//!   beside the strip kernels: every register carries a 64-bit
+//!   fingerprint, every gate derives an operation fingerprint from its
+//!   operands' fingerprints, and a capped set of seen fingerprints
 //!   predicts what an op cache's hit rate *would have been*.
 //! * When a 128-gate window's predicted hit rate crosses the promotion
 //!   threshold, the file moves the registers the program has used into an
-//!   [`InternedFile`] (the rest stay at the zero chunk) and delegates from
-//!   then on — now with real memoized kernels.
-//! * While interned, the real `InternStats` are watched per window; if the
-//!   hit rate collapses the file demotes back to eager (hysteresis: only
-//!   after a dwell period, and after two demotions it pins eager so a
-//!   phase-oscillating program cannot thrash).
-//! * Workloads that never look repetitive stop paying for the probe too:
-//!   after a few cold windows the probe **settles** into pure delegation
-//!   and only re-arms for one window after a long holdoff.
+//!   [`InternedFile`] (the rest stay at the zero chunk), drops the probe,
+//!   and delegates from then on — now with real memoized kernels.
+//!   Promotion is one-way: a promoted file's only per-gate work of its own
+//!   is counting the gate.
 //!
 //! Past the hardware's capability bound
 //! ([`HW_MAX_WAYS`](crate::storage::HW_MAX_WAYS) ways) an explicit
@@ -52,23 +47,12 @@ mod telem {
     pub static PROBED: Counter = Counter::new("qat.backend.adaptive.probed_gates");
     pub static PROBE_HITS: Counter = Counter::new("qat.backend.adaptive.probe_hits");
     pub static PROMOTIONS: Counter = Counter::new("qat.backend.adaptive.promotions");
-    pub static DEMOTIONS: Counter = Counter::new("qat.backend.adaptive.demotions");
 }
 
 /// Gates per decision window.
 const WINDOW: u64 = 128;
 /// Predicted hit rate (per window) that triggers promotion to interned.
 const PROMOTE_RATIO: f64 = 0.5;
-/// Real hit rate (per window) below which an interned file demotes.
-const DEMOTE_RATIO: f64 = 0.25;
-/// Windows a promotion must survive before demotion is considered.
-const DEMOTE_DWELL: u32 = 2;
-/// Consecutive sub-threshold windows before the probe settles.
-const SETTLE_AFTER_COLD: u32 = 4;
-/// Gates of pure delegation between settled-probe re-arms.
-const REPROBE_HOLDOFF: u64 = 4096;
-/// Demotions after which the file pins eager for good.
-const MAX_DEMOTIONS: u64 = 2;
 /// Slots in the shadow probe's direct-mapped seen-fingerprint table. A
 /// collision merely overwrites a prediction, and repetition is judged per
 /// 128-gate window, so a small table suffices — small enough (8 KiB) to
@@ -105,21 +89,24 @@ fn fingerprint_const(kind: ConstKind) -> u64 {
     }
 }
 
-/// What the probe is currently doing while the file is eager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Probe {
-    /// Counting would-be hits this window.
-    Active,
-    /// Settled: pure delegation for `0..REPROBE_HOLDOFF` more gates.
-    Holdoff(u64),
+/// The starting state: explicit vectors plus the shadow probe that
+/// decides promotion.
+#[derive(Debug, Clone)]
+struct Probing {
+    file: EagerFile,
+    /// What each register holds, symbolically.
+    fp: Vec<u64>,
+    /// Direct-mapped seen-fingerprint table (0 = empty slot).
+    seen: Vec<u64>,
+    window_gates: u64,
+    window_hits: u64,
 }
 
 /// The representation an [`AdaptiveFile`] delegates to.
 #[derive(Debug, Clone)]
 enum Inner {
-    /// Explicit vectors: the starting state, and the state after a
-    /// demotion.
-    Eager(Box<EagerFile>),
+    /// Eager and probing, until promotion.
+    Eager(Box<Probing>),
     /// The promoted interning file.
     Interned(InternedFile),
     /// A caller-supplied file ([`AdaptiveFile::pinned`]).
@@ -130,21 +117,6 @@ enum Inner {
 #[derive(Debug, Clone)]
 pub struct AdaptiveFile {
     inner: Inner,
-    ways: u32,
-    /// Pure delegation: never probe, never switch (beyond-`HW_MAX_WAYS`
-    /// wrapper, or pinned eager after [`MAX_DEMOTIONS`]).
-    pinned: bool,
-    fp: Vec<u64>,
-    /// Direct-mapped seen-fingerprint table (0 = empty slot).
-    seen: Vec<u64>,
-    probe: Probe,
-    window_gates: u64,
-    window_hits: u64,
-    cold_windows: u32,
-    /// Windows survived since the last promotion (demotion hysteresis).
-    dwell: u32,
-    /// Intern counters at the start of the current interned window.
-    window_base: InternStats,
     stats: AdaptiveStats,
     /// Warm snapshot to promote into, when one is registered.
     warm: Option<crate::WarmStoreId>,
@@ -166,17 +138,7 @@ impl AdaptiveFile {
     /// worker then starts with the snapshot's op cache instead of cold.
     pub fn with_warm(ways: u32, constant_bank: bool, warm: Option<crate::WarmStoreId>) -> Self {
         AdaptiveFile {
-            inner: Inner::Eager(Box::new(EagerFile::new(ways, constant_bank))),
-            ways,
-            pinned: false,
-            fp: Self::bank_fingerprints(ways, constant_bank),
-            seen: vec![0; PROBE_SLOTS],
-            probe: Probe::Active,
-            window_gates: 0,
-            window_hits: 0,
-            cold_windows: 0,
-            dwell: 0,
-            window_base: InternStats::default(),
+            inner: Inner::Eager(Box::new(Probing::new(ways, constant_bank))),
             stats: AdaptiveStats::default(),
             warm,
         }
@@ -186,33 +148,11 @@ impl AdaptiveFile {
     /// promotion machinery — used when the payoff representation is fixed
     /// externally (sparse-re past `HW_MAX_WAYS`).
     pub fn pinned(inner: Box<dyn AobStorage>) -> Self {
-        let ways = inner.ways();
         AdaptiveFile {
             inner: Inner::Fixed(inner),
-            ways,
-            pinned: true,
-            fp: vec![0; REG_COUNT],
-            seen: Vec::new(),
-            probe: Probe::Holdoff(0),
-            window_gates: 0,
-            window_hits: 0,
-            cold_windows: 0,
-            dwell: 0,
-            window_base: InternStats::default(),
             stats: AdaptiveStats::default(),
             warm: None,
         }
-    }
-
-    fn bank_fingerprints(ways: u32, constant_bank: bool) -> Vec<u64> {
-        let mut fp = vec![fingerprint_const(ConstKind::Zeros); REG_COUNT];
-        if constant_bank {
-            fp[1] = fingerprint_const(ConstKind::Ones);
-            for k in 0..ways {
-                fp[(2 + k) as usize] = fingerprint_const(ConstKind::Hadamard(k));
-            }
-        }
-        fp
     }
 
     /// True while the file is delegating to an interning representation
@@ -223,7 +163,7 @@ impl AdaptiveFile {
 
     fn file(&self) -> &dyn AobStorage {
         match &self.inner {
-            Inner::Eager(f) => f.as_ref(),
+            Inner::Eager(p) => &p.file,
             Inner::Interned(f) => f,
             Inner::Fixed(f) => f.as_ref(),
         }
@@ -231,140 +171,76 @@ impl AdaptiveFile {
 
     fn file_mut(&mut self) -> &mut dyn AobStorage {
         match &mut self.inner {
-            Inner::Eager(f) => f.as_mut(),
+            Inner::Eager(p) => &mut p.file,
             Inner::Interned(f) => f,
             Inner::Fixed(f) => f.as_mut(),
         }
     }
 
     /// Intern each register the eager file has used, once; the others
-    /// stay at the store's zero chunk.
+    /// stay at the store's zero chunk. The probe goes with the eager file.
     fn promote(&mut self) {
-        let mut to = InternedFile::warmed(self.ways, false, self.warm);
-        if let Inner::Eager(from) = &mut self.inner {
-            for (r, v) in from.take_written() {
-                to.set_owned(r, v);
-            }
+        let Inner::Eager(from) = &mut self.inner else {
+            return;
+        };
+        let mut to = InternedFile::warmed(from.file.ways(), false, self.warm);
+        for (r, v) in from.file.take_written() {
+            to.set_owned(r, v);
         }
         to.reset_stats();
         self.inner = Inner::Interned(to);
-        self.dwell = 0;
-        self.window_base = self.file().intern_stats().unwrap_or_default();
-        self.seen.fill(0);
         self.stats.promotions += 1;
         telem::PROMOTIONS.inc();
     }
+}
 
-    /// Copy each nonzero register back into a fresh eager file.
-    fn demote(&mut self) {
-        let mut to = Box::new(EagerFile::new(self.ways, false));
-        if let Inner::Interned(from) = &self.inner {
-            for (r, v) in from.nonzero() {
-                to.set(r, v);
+impl Probing {
+    fn new(ways: u32, constant_bank: bool) -> Self {
+        let mut fp = vec![fingerprint_const(ConstKind::Zeros); REG_COUNT];
+        if constant_bank {
+            fp[1] = fingerprint_const(ConstKind::Ones);
+            for k in 0..ways {
+                fp[(2 + k) as usize] = fingerprint_const(ConstKind::Hadamard(k));
             }
         }
-        self.inner = Inner::Eager(to);
-        self.stats.demotions += 1;
-        telem::DEMOTIONS.inc();
-        if self.stats.demotions >= MAX_DEMOTIONS {
-            // Thrashing guard: this workload oscillates; stop paying for
-            // probes and migrations and stay eager.
-            self.pinned = true;
-        } else {
-            self.probe = Probe::Holdoff(0);
+        Probing {
+            file: EagerFile::new(ways, constant_bank),
+            fp,
+            seen: vec![0; PROBE_SLOTS],
+            window_gates: 0,
+            window_hits: 0,
         }
-        self.seen.fill(0);
     }
 
-    /// Close an eager-mode probe window and decide.
-    fn eager_window_end(&mut self) {
-        let ratio = self.window_hits as f64 / self.window_gates.max(1) as f64;
+    /// Feed one gate to the probe, before it runs. True when the gate
+    /// closes a window whose predicted hit rate says promote.
+    fn observe(&mut self, act: GateAction, stats: &mut AdaptiveStats) -> bool {
+        stats.probed_gates += 1;
+        self.window_gates += 1;
+        let hit = match self.action_fingerprint(act) {
+            Some(key) => {
+                let slot = &mut self.seen[key as usize & (PROBE_SLOTS - 1)];
+                let hit = *slot == key;
+                *slot = key;
+                hit
+            }
+            // swap: no kernel work either way, count as a would-be hit.
+            None => true,
+        };
+        if hit {
+            stats.probe_hits += 1;
+            self.window_hits += 1;
+        }
+        self.update_fingerprint(act);
+        if self.window_gates < WINDOW {
+            return false;
+        }
+        let ratio = self.window_hits as f64 / self.window_gates as f64;
         telem::PROBED.add(self.window_gates);
         telem::PROBE_HITS.add(self.window_hits);
         self.window_gates = 0;
         self.window_hits = 0;
-        if ratio >= PROMOTE_RATIO {
-            self.promote();
-            return;
-        }
-        self.cold_windows += 1;
-        if self.cold_windows >= SETTLE_AFTER_COLD {
-            self.cold_windows = 0;
-            self.probe = Probe::Holdoff(0);
-            self.seen.fill(0);
-        }
-    }
-
-    /// Close an interned-mode window and decide on demotion.
-    fn interned_window_end(&mut self) {
-        self.window_gates = 0;
-        self.dwell = self.dwell.saturating_add(1);
-        let now = self.file().intern_stats().unwrap_or_default();
-        let hits = now.hits.saturating_sub(self.window_base.hits);
-        let lookups = now.lookups().saturating_sub(self.window_base.lookups());
-        self.window_base = now;
-        if self.dwell >= DEMOTE_DWELL
-            && lookups > 0
-            && (hits as f64 / lookups as f64) < DEMOTE_RATIO
-        {
-            self.demote();
-        }
-    }
-
-    /// Observe one gate: update fingerprints, feed the probe, and run the
-    /// window state machine. Called before the action is delegated.
-    fn observe(&mut self, act: GateAction) {
-        self.stats.gates += 1;
-        if self.pinned {
-            return;
-        }
-        if self.is_promoted() {
-            self.window_gates += 1;
-            if self.window_gates >= WINDOW {
-                self.interned_window_end();
-            }
-            return;
-        }
-        match self.probe {
-            Probe::Holdoff(n) => {
-                // Pure delegation — not even fingerprint upkeep, so the
-                // settled state costs one branch and a counter. Register
-                // fingerprints go stale here; that is fine for the
-                // predictor, because a re-armed window only looks for
-                // *repetition*, and a repetitive phase maps identical
-                // symbolic inputs to identical fingerprints whatever the
-                // (stale) root labels are.
-                if n + 1 >= REPROBE_HOLDOFF {
-                    self.probe = Probe::Active;
-                    self.window_gates = 0;
-                    self.window_hits = 0;
-                } else {
-                    self.probe = Probe::Holdoff(n + 1);
-                }
-                return;
-            }
-            Probe::Active => {}
-        }
-        let key = self.action_fingerprint(act);
-        self.stats.probed_gates += 1;
-        self.window_gates += 1;
-        if let Some(key) = key {
-            let slot = &mut self.seen[key as usize & (PROBE_SLOTS - 1)];
-            if *slot == key {
-                self.stats.probe_hits += 1;
-                self.window_hits += 1;
-            } else {
-                *slot = key;
-            }
-        } else {
-            // swap: no kernel work either way, count as a would-be hit.
-            self.stats.probe_hits += 1;
-            self.window_hits += 1;
-        }
-        self.update_fingerprint(act);
-        if self.window_gates >= WINDOW {
-            self.eager_window_end();
-        }
+        ratio >= PROMOTE_RATIO
     }
 
     /// The op-cache key an interned file would probe for this action, as a
@@ -440,7 +316,7 @@ impl AobStorage for AdaptiveFile {
     }
 
     fn ways(&self) -> u32 {
-        self.ways
+        self.file().ways()
     }
 
     fn read(&self, r: usize) -> Aob {
@@ -448,35 +324,24 @@ impl AobStorage for AdaptiveFile {
     }
 
     fn set(&mut self, r: usize, v: &Aob) {
-        self.fp[r] = fingerprint_value(v);
+        if let Inner::Eager(p) = &mut self.inner {
+            p.fp[r] = fingerprint_value(v);
+        }
         self.file_mut().set(r, v);
     }
 
     fn apply_action(&mut self, act: GateAction, meter: bool) -> WriteDelta {
-        self.observe(act);
-        self.file_mut().apply_action(act, meter)
+        self.gate_run(&[act], meter)
     }
 
     fn gate_run(&mut self, actions: &[GateAction], meter: bool) -> WriteDelta {
-        let n = actions.len() as u64;
-        if self.pinned {
-            // Pure delegation: account for the whole run in one step.
-            self.stats.gates += n;
-            return self.file_mut().gate_run(actions, meter);
-        }
-        if !self.is_promoted() {
-            if let Probe::Holdoff(h) = self.probe {
-                if h + n < REPROBE_HOLDOFF {
-                    // The whole run lands inside the holdoff: bulk-advance
-                    // the counters and skip the per-gate observe loop.
-                    self.probe = Probe::Holdoff(h + n);
-                    self.stats.gates += n;
-                    return self.file_mut().gate_run(actions, meter);
-                }
+        self.stats.gates += actions.len() as u64;
+        if let Inner::Eager(p) = &mut self.inner {
+            // Probing stops at the gate that decides promotion; the whole
+            // run then goes to the promoted file.
+            if actions.iter().any(|&a| p.observe(a, &mut self.stats)) {
+                self.promote();
             }
-        }
-        for &a in actions {
-            self.observe(a);
         }
         self.file_mut().gate_run(actions, meter)
     }
@@ -555,7 +420,26 @@ mod tests {
     }
 
     #[test]
-    fn fresh_value_workload_stays_eager_and_settles() {
+    fn promotion_is_one_way() {
+        let mut f = AdaptiveFile::new(8, false);
+        hot_loop(&mut f, 400);
+        assert!(f.is_promoted());
+        let probed = f.adaptive_stats().unwrap().probed_gates;
+        // Every xor now misses the op cache: `@1` gets a fresh nonzero
+        // value each time, and `@10` holds H(1), so no algebraic shortcut
+        // answers it either.
+        for i in 1..=1000u64 {
+            f.set(1, &Aob::from_fn(8, |e| e < 10 && (i >> e) & 1 == 1));
+            f.apply_action(GateAction::Bin(GateOp::Xor, 3, 1, 10), false);
+        }
+        assert!(f.is_promoted());
+        let st = f.adaptive_stats().unwrap();
+        assert_eq!((st.promotions, st.demotions), (1, 0), "{st:?}");
+        assert_eq!(st.probed_gates, probed, "a promoted file no longer probes");
+    }
+
+    #[test]
+    fn fresh_value_workload_stays_eager() {
         let mut f = AdaptiveFile::new(8, false);
         // A not/swap-free chain that never repeats an operand pair: each
         // xor feeds the next, so fingerprints are all fresh.
@@ -568,10 +452,7 @@ mod tests {
         assert!(!f.is_promoted());
         let st = f.adaptive_stats().unwrap();
         assert_eq!(st.promotions, 0);
-        assert!(
-            st.probed_gates < st.gates,
-            "probe settled into pure delegation: {st:?}"
-        );
+        assert_eq!(st.probed_gates, st.gates, "an eager file probes every gate");
     }
 
     #[test]

@@ -87,9 +87,9 @@ impl Aob {
         v
     }
 
-    /// The backing word buffer itself (for buffer-reusing kernels that
-    /// swap a scratch vector in). Callers must keep the length equal to
-    /// [`Aob::words_for`] and re-establish the padding invariant.
+    /// The backing word buffer itself (for kernels that exchange whole
+    /// buffers). Callers must keep the length equal to [`Aob::words_for`]
+    /// and re-establish the padding invariant.
     #[inline]
     pub(crate) fn words_vec_mut(&mut self) -> &mut Vec<u64> {
         &mut self.words

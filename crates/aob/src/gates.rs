@@ -35,7 +35,7 @@ use crate::bitvec::Aob;
 
 /// `out = f(b[i], c[i])` for every word, replacing `out`'s contents.
 #[inline(always)]
-pub(crate) fn zip2_into(out: &mut Vec<u64>, b: &[u64], c: &[u64], f: impl Fn(u64, u64) -> u64) {
+fn zip2_into(out: &mut Vec<u64>, b: &[u64], c: &[u64], f: impl Fn(u64, u64) -> u64) {
     debug_assert_eq!(b.len(), c.len());
     out.clear();
     out.reserve(b.len());
@@ -51,7 +51,7 @@ pub(crate) fn zip2_into(out: &mut Vec<u64>, b: &[u64], c: &[u64], f: impl Fn(u64
 
 /// `out = f(a[i], b[i], c[i])` for every word, replacing `out`'s contents.
 #[inline(always)]
-pub(crate) fn zip3_into(
+fn zip3_into(
     out: &mut Vec<u64>,
     a: &[u64],
     b: &[u64],

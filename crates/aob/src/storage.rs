@@ -234,12 +234,14 @@ impl GateAction {
     }
 }
 
-/// Promotion/demotion counters of the `adaptive` backend.
+/// Promotion and probe counters of the `adaptive` backend.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptiveStats {
-    /// Times the file switched from eager to its interning inner file.
+    /// Times the file switched from eager to its interning inner file
+    /// (0 or 1: promotion is one-way).
     pub promotions: u64,
-    /// Times it fell back to eager after interning stopped paying.
+    /// Always 0: a promoted file never returns to eager. Kept because the
+    /// benchmark package still reads it.
     pub demotions: u64,
     /// Gates the eager-mode shadow probe predicted would have hit an
     /// op cache.
@@ -295,7 +297,7 @@ pub trait AobStorage: std::fmt::Debug + Send {
         false
     }
 
-    /// Promotion/demotion counters, if this is the adaptive backend.
+    /// Promotion and probe counters, if this is the adaptive backend.
     fn adaptive_stats(&self) -> Option<AdaptiveStats> {
         None
     }
@@ -363,10 +365,9 @@ fn meter_delta(old: &Aob, new: &Aob) -> WriteDelta {
 /// A register holds no words until a gate (or [`AobStorage::set`]) first
 /// uses it; until then it reads as zeros, so building a file costs nothing
 /// beyond the constant bank, and a program pays only for the registers it
-/// names. Unmetered gates run single-pass vectorized kernels straight into
-/// two reusable scratch buffers and swap the result in — zero steady-state
-/// allocation and one pass over the words. Metered gates keep the
-/// value-snapshot path, which needs the old value anyway.
+/// names. Every gate, single or fused, metered or not, runs the same
+/// in-place strip kernels ([`EagerFile::strip_step`]); a metered gate also
+/// snapshots its destinations to report the delta.
 #[derive(Debug, Clone)]
 pub struct EagerFile {
     /// The registers in use, in first-use order.
@@ -375,8 +376,6 @@ pub struct EagerFile {
     /// it holds no words.
     slot: [Option<u8>; REG_COUNT],
     ways: u32,
-    scratch: Vec<u64>,
-    scratch2: Vec<u64>,
 }
 
 impl EagerFile {
@@ -392,8 +391,6 @@ impl EagerFile {
             regs: Vec::new(),
             slot: [None; REG_COUNT],
             ways,
-            scratch: Vec::new(),
-            scratch2: Vec::new(),
         };
         if constant_bank {
             for (r, c) in Aob::constant_bank(ways).into_iter().enumerate() {
@@ -450,17 +447,43 @@ impl EagerFile {
         owner.into_iter().zip(std::mem::take(&mut self.regs))
     }
 
-    /// Replace the value at `regs[i]`.
-    fn commit(&mut self, i: usize, v: Aob, meter: bool) -> WriteDelta {
-        let d = if meter { meter_delta(&self.regs[i], &v) } else { WriteDelta::default() };
-        self.regs[i] = v;
-        d
+    /// Run `actions` in place over every word: materialize their
+    /// registers, then apply all of them to one strip of words before
+    /// moving to the next. Legal because every gate is word-element-wise
+    /// (see [`EagerFile::strip_step`]); the payoff is that a register read
+    /// by several gates of a run is pulled into cache once per run rather
+    /// than once per gate.
+    fn run_strips(&mut self, actions: &[GateAction]) {
+        for &act in actions {
+            self.materialize(act);
+        }
+        let words = Aob::words_for(self.ways);
+        let mut lo = 0;
+        while lo < words {
+            let hi = (lo + STRIP_WORDS).min(words);
+            for &act in actions {
+                self.strip_step(act, lo, hi);
+            }
+            lo = hi;
+        }
+        if words == 1 {
+            // Below 6 ways the one word has padding bits. `Const` and
+            // `Not` may set them, and bitwise gates never carry them into
+            // live channels, so clearing each destination once suffices.
+            for act in actions {
+                let (dsts, nd) = act.dests();
+                for &r in &dsts[..nd] {
+                    let i = self.at(r);
+                    self.regs[i].normalize();
+                }
+            }
+        }
     }
 
     /// Apply one action to word range `lo..hi` of its registers. Every
     /// Table-3 gate is word-element-wise — output word `i` depends only
     /// on input words `i` — which is what makes the blocked schedule of
-    /// [`AobStorage::gate_run`] legal: applying the gates in order within
+    /// [`EagerFile::run_strips`] legal: applying the gates in order within
     /// each strip produces bit-identical results to applying each gate
     /// over the whole register file. The action's registers must be
     /// materialized.
@@ -621,9 +644,8 @@ fn dest2(regs: &mut [Aob], d: usize, s1: usize, s2: usize) -> (&mut Aob, &Aob, &
     (dv, s1v, s2v)
 }
 
-/// The `i`-th word of a `ways`-way constant value. Only valid for values
-/// without padding bits (`2^ways >= 64`), which the strip executor's
-/// word-count gate guarantees.
+/// The `i`-th word of a `ways`-way constant value. Below 6 ways the word's
+/// padding bits may be set; [`EagerFile::run_strips`] clears them.
 fn const_word(kind: ConstKind, ways: u32, i: usize) -> u64 {
     match kind {
         ConstKind::Zeros => 0,
@@ -658,128 +680,26 @@ impl AobStorage for EagerFile {
     }
 
     fn apply_action(&mut self, act: GateAction, meter: bool) -> WriteDelta {
-        self.materialize(act);
-        match act {
-            GateAction::Const(r, kind) => {
-                let v = match kind {
-                    ConstKind::Zeros => Aob::zeros(self.ways),
-                    ConstKind::Ones => Aob::ones(self.ways),
-                    ConstKind::Hadamard(k) => Aob::hadamard(self.ways, k),
-                };
-                self.commit(self.at(r), v, meter)
-            }
-            GateAction::Not(r) => {
-                let r = self.at(r);
-                if !meter {
-                    self.regs[r].not_assign();
-                    return WriteDelta::default();
-                }
-                let v = self.regs[r].not_of();
-                self.commit(r, v, meter)
-            }
-            GateAction::Bin(op, a, b, c) => {
-                let (a, b, c) = (self.at(a), self.at(b), self.at(c));
-                if !meter {
-                    let (x, y) = (self.regs[b].words(), self.regs[c].words());
-                    let s = &mut self.scratch;
-                    match op {
-                        GateOp::And => crate::gates::zip2_into(s, x, y, |p, q| p & q),
-                        GateOp::Or => crate::gates::zip2_into(s, x, y, |p, q| p | q),
-                        GateOp::Xor => crate::gates::zip2_into(s, x, y, |p, q| p ^ q),
-                    }
-                    std::mem::swap(self.regs[a].words_vec_mut(), &mut self.scratch);
-                    return WriteDelta::default();
-                }
-                let (x, y) = (&self.regs[b], &self.regs[c]);
-                let v = match op {
-                    GateOp::And => Aob::and_of(x, y),
-                    GateOp::Or => Aob::or_of(x, y),
-                    GateOp::Xor => Aob::xor_of(x, y),
-                };
-                self.commit(a, v, meter)
-            }
-            GateAction::Ccnot(a, b, c) => {
-                let (a, b, c) = (self.at(a), self.at(b), self.at(c));
-                if !meter {
-                    crate::gates::zip3_into(
-                        &mut self.scratch,
-                        self.regs[a].words(),
-                        self.regs[b].words(),
-                        self.regs[c].words(),
-                        |x, y, z| x ^ (y & z),
-                    );
-                    std::mem::swap(self.regs[a].words_vec_mut(), &mut self.scratch);
-                    return WriteDelta::default();
-                }
-                let mut v = self.regs[a].clone();
-                v.ccnot_assign(&self.regs[b], &self.regs[c]);
-                self.commit(a, v, meter)
-            }
-            GateAction::Swap(a, b) => {
-                let mut d = WriteDelta::default();
-                if meter {
-                    let (va, vb) = (&self.regs[self.at(a)], &self.regs[self.at(b)]);
-                    d.merge(meter_delta(va, vb));
-                    d.merge(meter_delta(vb, va));
-                }
-                self.slot.swap(a as usize, b as usize);
-                d
-            }
-            GateAction::Cswap(a, b, c) => {
-                let (a, b, c) = (self.at(a), self.at(b), self.at(c));
-                if !meter {
-                    if a == b {
-                        // Swapping a register with itself in any channel
-                        // subset is the identity.
-                        return WriteDelta::default();
-                    }
-                    let mux = |s: u64, t: u64, f: u64| (f & !s) | (t & s);
-                    let (va, vb, vc) =
-                        (self.regs[a].words(), self.regs[b].words(), self.regs[c].words());
-                    crate::gates::zip3_into(&mut self.scratch, vc, vb, va, mux); // a' = mux(c, b, a)
-                    crate::gates::zip3_into(&mut self.scratch2, vc, va, vb, mux); // b' = mux(c, a, b)
-                    std::mem::swap(self.regs[a].words_vec_mut(), &mut self.scratch);
-                    std::mem::swap(self.regs[b].words_vec_mut(), &mut self.scratch2);
-                    return WriteDelta::default();
-                }
-                let mut va = self.regs[a].clone();
-                let mut vb = self.regs[b].clone();
-                Aob::cswap(&mut va, &mut vb, &self.regs[c]);
-                let mut d = self.commit(a, va, meter);
-                d.merge(self.commit(b, vb, meter));
-                d
-            }
-        }
+        self.gate_run(&[act], meter)
     }
 
     fn gate_run(&mut self, actions: &[GateAction], meter: bool) -> WriteDelta {
-        let words = Aob::words_for(self.ways);
-        // Metered runs need per-gate deltas, single-word values (`ways < 6`)
-        // carry padding bits the strip kernels do not maintain, and a run
-        // of one gate gains nothing over the plain path.
-        if meter || actions.len() < 2 || words < 2 {
-            let mut d = WriteDelta::default();
-            for &a in actions {
-                d.merge(self.apply_action(a, meter));
-            }
-            return d;
+        if !meter {
+            self.run_strips(actions);
+            return WriteDelta::default();
         }
+        // Metering needs each gate's own delta, so step one gate at a
+        // time against a snapshot of its destinations.
+        let mut d = WriteDelta::default();
         for &act in actions {
-            self.materialize(act);
-        }
-        // Blocked schedule: all gates over one strip, then the next strip.
-        // Legal because every gate is word-element-wise (see `strip_step`);
-        // the payoff is that a register read by several gates of the run
-        // is pulled into cache once per run rather than once per gate.
-        let mut lo = 0;
-        while lo < words {
-            let hi = (lo + STRIP_WORDS).min(words);
-            for &act in actions {
-                self.strip_step(act, lo, hi);
+            let (dsts, nd) = act.dests();
+            let old: Vec<Aob> = dsts[..nd].iter().map(|&r| self.read(r as usize)).collect();
+            self.run_strips(&[act]);
+            for (&r, old) in dsts[..nd].iter().zip(&old) {
+                d.merge(meter_delta(old, &self.regs[self.at(r)]));
             }
-            lo = hi;
         }
-        WriteDelta::default()
+        d
     }
 
     fn meas(&self, r: usize, e: u64) -> bool {
@@ -874,12 +794,6 @@ impl InternedFile {
     /// Intern `v` as register `r`'s value, without copying it.
     pub(crate) fn set_owned(&mut self, r: usize, v: Aob) {
         self.ids[r] = self.store.intern(v);
-    }
-
-    /// Every register that does not hold zeros, with its value.
-    pub(crate) fn nonzero(&self) -> impl Iterator<Item = (usize, &Aob)> {
-        let ids = self.ids.iter().enumerate().filter(|(_, &id)| id != ID_ZERO);
-        ids.map(|(r, &id)| (r, self.store.aob(id)))
     }
 
     fn commit(&mut self, r: usize, id: ChunkId, meter: bool) -> WriteDelta {
@@ -1129,31 +1043,37 @@ mod tests {
 
     #[test]
     fn eager_and_interned_agree_on_gate_mix() {
-        let [mut e, mut i] = files(8);
-        for f in [&mut e, &mut i] {
-            for act in mix_actions() {
-                f.apply_action(act, false);
+        // ways=3 values carry padding bits, which `Const` and `Not` set.
+        for ways in [3, 8] {
+            let [mut e, mut i] = files(ways);
+            for f in [&mut e, &mut i] {
+                for act in mix_actions() {
+                    f.apply_action(act, false);
+                }
             }
-        }
-        for r in 0..REG_COUNT {
-            assert_eq!(e.read(r), i.read(r), "@{r}");
-            assert_eq!(e.pop_after(r, 0), i.pop_after(r, 0), "@{r} pop");
+            for r in 0..REG_COUNT {
+                assert_eq!(e.read(r), i.read(r), "ways {ways} @{r}");
+                assert_eq!(e.pop_after(r, 0), i.pop_after(r, 0), "ways {ways} @{r} pop");
+            }
         }
     }
 
     #[test]
     fn metering_matches_across_backends() {
-        let [mut e, mut i] = files(8);
-        for f in [&mut e, &mut i] {
-            let d1 = f.apply_action(GateAction::Const(0, ConstKind::Ones), true);
-            assert_eq!(d1, WriteDelta { toggles: 256, pop_delta: 256, writes: 1 });
-            let d2 = f.apply_action(GateAction::Not(0), true);
-            assert_eq!(d2, WriteDelta { toggles: 256, pop_delta: -256, writes: 1 });
-            // Swap re-routes charge: per-register toggles, zero net delta.
-            f.apply_action(GateAction::Const(1, ConstKind::Hadamard(0)), true);
-            let d3 = f.apply_action(GateAction::Swap(0, 1), true);
-            assert_eq!(d3.pop_delta, 0);
-            assert_eq!(d3.writes, 2);
+        for ways in [3, 8] {
+            let n = 1 << ways;
+            let [mut e, mut i] = files(ways);
+            for f in [&mut e, &mut i] {
+                let d1 = f.apply_action(GateAction::Const(0, ConstKind::Ones), true);
+                assert_eq!(d1, WriteDelta { toggles: n, pop_delta: n as i64, writes: 1 });
+                let d2 = f.apply_action(GateAction::Not(0), true);
+                assert_eq!(d2, WriteDelta { toggles: n, pop_delta: -(n as i64), writes: 1 });
+                // Swap re-routes charge: per-register toggles, zero net delta.
+                f.apply_action(GateAction::Const(1, ConstKind::Hadamard(0)), true);
+                let d3 = f.apply_action(GateAction::Swap(0, 1), true);
+                assert_eq!(d3.pop_delta, 0);
+                assert_eq!(d3.writes, 2);
+            }
         }
     }
 
@@ -1174,8 +1094,10 @@ mod tests {
 
     #[test]
     fn gate_run_matches_stepped_execution() {
-        // ways=3 exercises the sub-word padding invariant through the
-        // scratch-buffer kernels; ways=8 the multi-word path.
+        // ways=3 exercises the sub-word padding invariant, ways=8 the
+        // multi-word path. Eager runs the same strip kernels on both
+        // sides, so its padding clear is checked against interned by
+        // `eager_and_interned_agree_on_gate_mix`.
         for ways in [3, 8] {
             for mut fused in files(ways) {
                 let mut stepped = fused.clone_box();

@@ -521,8 +521,8 @@ impl QatCoprocessor {
         self.config.fusion && !self.config.meter_energy && self.file.wants_fusion()
     }
 
-    /// Promotion/demotion counters of the register file (`None` unless the
-    /// backend is `adaptive`).
+    /// Promotion and probe counters of the register file (`None` unless
+    /// the backend is `adaptive`).
     pub fn adaptive_stats(&self) -> Option<AdaptiveStats> {
         self.file.adaptive_stats()
     }
@@ -897,7 +897,7 @@ mod tests {
         let interned = QatCoprocessor::new(QatConfig::with_backend(StorageBackend::Interned, 8));
         assert!(interned.fusion_active(), "interned wants fusion by default");
         let eager = QatCoprocessor::new(QatConfig::with_backend(StorageBackend::Eager, 8));
-        assert!(!eager.fusion_active(), "eager kernels gain nothing from runs");
+        assert!(!eager.fusion_active(), "eager stays unfused: qat-eager is the stepped reference");
         let metered = QatCoprocessor::new(QatConfig {
             meter_energy: true,
             ..QatConfig::with_backend(StorageBackend::Interned, 8)

@@ -205,7 +205,7 @@ fn corpus_packed_encoding_replays_deterministically() {
 /// Adaptive-backend promotion decisions are a pure function of the gate
 /// sequence, never of wall-clock or allocation state: two fresh runs of
 /// any corpus program must report identical [`pbp_aob::AdaptiveStats`]
-/// (same windows probed, same promote/demote choices) and identical
+/// (same windows probed, same promotion choice) and identical
 /// architectural state.
 #[test]
 fn corpus_adaptive_decisions_replay_deterministically() {
