@@ -124,19 +124,15 @@ proptest! {
     }
 }
 
-/// Loading a corpus journal as a chunk snapshot is a kind mismatch, not
-/// a parse attempt.
+/// Loading another kind of container as a chunk snapshot is a kind
+/// mismatch, not a parse attempt.
 #[test]
 fn wrong_kind_is_typed() {
-    let dir = std::env::temp_dir().join(format!("pbp-store-kind-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = tangled_store::CorpusDb::dir_path(&dir);
-    let mut db = tangled_store::CorpusDb::open(&path).unwrap();
-    db.insert(tangled_store::CorpusEntry::from_text("a", "sys\n", 8, false)).unwrap();
+    let path = std::env::temp_dir().join(format!("pbp-store-kind-{}.tgls", std::process::id()));
+    tangled_store::ContainerWriter::new("other").write(&path).unwrap();
     assert!(matches!(
         ChunkStore::load(&path),
         Err(StoreError::WrongKind { .. })
     ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&path);
 }

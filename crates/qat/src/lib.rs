@@ -101,12 +101,6 @@ pub struct QatConfig {
     /// each backend's capabilities. The default is [`QatConfig::paper`]'s;
     /// the CLIs and the differential oracle's `DiffConfig` copy it.
     pub backend: StorageBackend,
-    /// Allow the dispatcher (the Tangled machine's peephole pass) to hand
-    /// straight-line runs of gate instructions to the backend as one
-    /// [`QatCoprocessor::execute_run`] call. Semantically invisible; only
-    /// taken when the backend reports it pays ([`AobStorage::wants_fusion`])
-    /// and energy metering is off (metering is per-instruction).
-    pub fusion: bool,
     /// Warm ChunkStore snapshot to attach the register file to (see
     /// [`pbp_aob::warm`]): interning backends start with the snapshot's
     /// chunks and memoized op cache instead of cold. `None` consults the
@@ -127,7 +121,6 @@ impl QatConfig {
             constant_registers: false,
             meter_energy: false,
             backend: StorageBackend::Adaptive,
-            fusion: true,
             warm: None,
         }
     }
@@ -518,7 +511,7 @@ impl QatCoprocessor {
     /// execution (imbalance is accounted per instruction), and backends
     /// without a run cache gain nothing over stepping.
     pub fn fusion_active(&self) -> bool {
-        self.config.fusion && !self.config.meter_energy && self.file.wants_fusion()
+        !self.config.meter_energy && self.file.wants_fusion()
     }
 
     /// Promotion and probe counters of the register file (`None` unless
@@ -903,11 +896,6 @@ mod tests {
             ..QatConfig::with_backend(StorageBackend::Interned, 8)
         });
         assert!(!metered.fusion_active(), "metering is per-instruction");
-        let off = QatCoprocessor::new(QatConfig {
-            fusion: false,
-            ..QatConfig::with_backend(StorageBackend::Interned, 8)
-        });
-        assert!(!off.fusion_active());
     }
 
     /// The adaptive backend exposes its promotion counters and behaves

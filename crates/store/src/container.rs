@@ -8,7 +8,7 @@
 //! 0       8     magic  = "TGLSTORE"
 //! 8       4     format version (currently 1)
 //! 12      8     kind — NUL-padded ASCII tag naming the client format
-//!               (e.g. "chunks", "corpusdb")
+//!               (e.g. "chunks")
 //! 20      4     section count N
 //! 24      8     table checksum — hash64 of the 32·N entry bytes below
 //! 32      32·N  section table entries:

@@ -7,10 +7,6 @@
 
 use crate::StoreError;
 
-/// Hard cap on any single length-prefixed field (strings, payloads).
-/// Hostile length prefixes must not drive multi-gigabyte allocations.
-pub const MAX_FIELD_LEN: usize = 1 << 28;
-
 /// Append-only little-endian byte writer over a `Vec<u8>`.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
@@ -28,16 +24,6 @@ impl ByteWriter {
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Append a `u8`.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -53,20 +39,9 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append a little-endian `u128`.
-    pub fn put_u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append raw bytes.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
-    }
-
-    /// Append a `u32`-length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_u32(v.len() as u32);
-        self.put_bytes(v.as_bytes());
     }
 }
 
@@ -91,11 +66,6 @@ impl<'a> Cursor<'a> {
     /// Whether the cursor consumed the whole buffer.
     pub fn is_exhausted(&self) -> bool {
         self.pos == self.buf.len()
-    }
-
-    /// Current read offset.
-    pub fn position(&self) -> usize {
-        self.pos
     }
 
     /// Take the next `n` raw bytes.
@@ -124,25 +94,6 @@ impl<'a> Cursor<'a> {
         let b = self.bytes(8, ctx)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
-
-    /// Read a little-endian `u128`.
-    pub fn u128(&mut self, ctx: &'static str) -> Result<u128, StoreError> {
-        let b = self.bytes(16, ctx)?;
-        Ok(u128::from_le_bytes(b.try_into().expect("16 bytes")))
-    }
-
-    /// Read a `u32`-length-prefixed UTF-8 string.
-    pub fn str(&mut self, ctx: &'static str) -> Result<String, StoreError> {
-        let n = self.u32(ctx)? as usize;
-        if n > MAX_FIELD_LEN {
-            return Err(StoreError::Malformed(format!(
-                "{ctx}: string length {n} exceeds the {MAX_FIELD_LEN}-byte field cap"
-            )));
-        }
-        let b = self.bytes(n, ctx)?;
-        String::from_utf8(b.to_vec())
-            .map_err(|_| StoreError::Malformed(format!("{ctx}: string is not UTF-8")))
-    }
 }
 
 /// Decode a NUL-padded fixed-width ASCII name field.
@@ -170,15 +121,13 @@ mod tests {
         w.put_u8(7);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 3);
-        w.put_u128(1 << 100);
-        w.put_str("hello");
+        w.put_bytes(b"hello");
         let bytes = w.into_bytes();
         let mut c = Cursor::new(&bytes);
         assert_eq!(c.u8("a").unwrap(), 7);
         assert_eq!(c.u32("b").unwrap(), 0xDEAD_BEEF);
         assert_eq!(c.u64("c").unwrap(), u64::MAX - 3);
-        assert_eq!(c.u128("d").unwrap(), 1 << 100);
-        assert_eq!(c.str("e").unwrap(), "hello");
+        assert_eq!(c.bytes(5, "d").unwrap(), b"hello");
         assert!(c.is_exhausted());
     }
 
@@ -186,9 +135,6 @@ mod tests {
     fn truncation_is_typed() {
         let mut c = Cursor::new(&[1, 2, 3]);
         assert!(matches!(c.u64("short"), Err(StoreError::Truncated("short"))));
-        let mut c = Cursor::new(&[255, 255, 255, 255]);
-        // A length prefix past the cap is malformed, not an allocation.
-        assert!(matches!(c.str("s"), Err(StoreError::Malformed(_))));
     }
 
     #[test]

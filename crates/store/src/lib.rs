@@ -1,18 +1,12 @@
 #![warn(missing_docs)]
 //! # tangled-store — the persistent artifact layer
 //!
-//! Everything the simulator used to rebuild per process — interned chunk
-//! stores, fuzz programs, campaign outcomes — persists through this crate.
-//! Two building blocks:
-//!
-//! * [`container`] — the `tangled-store/v1` binary container: magic,
-//!   format version, a typed *kind* tag, a section table, and a 64-bit
-//!   checksum per section. Fixed-shape artifacts (ChunkStore snapshots)
-//!   serialize into one container and are validated wholesale on load.
-//! * [`corpus`] — the content-addressed program database: an append-safe
-//!   journal of framed records over the same prelude, so a fuzzing
-//!   campaign can `insert` findings incrementally, crash mid-write, and
-//!   still reload everything up to the torn tail.
+//! Interned chunk stores, which the simulator would otherwise rebuild per
+//! process, persist through this crate as ChunkStore snapshots. The
+//! building block is [`container`], the `tangled-store/v1` binary
+//! container: magic, format version, a typed *kind* tag, a section table,
+//! and a 64-bit checksum per section. A snapshot serializes into one
+//! container and is validated wholesale on load.
 //!
 //! Every failure on the read path is a typed [`StoreError`] — hostile or
 //! truncated bytes must never panic. Writers go through [`io::ByteWriter`]
@@ -25,23 +19,17 @@
 //! crates.io access.
 
 pub mod container;
-pub mod corpus;
 pub mod io;
 
-/// Telemetry mirrors of the store's activity, reported by both clients:
-/// `store.*` by the container read/write paths, `corpus.db.*` by the
-/// corpus database.
+/// Telemetry mirrors of the container read/write paths.
 pub(crate) mod telem {
     use tangled_telemetry::Counter;
 
     pub static SAVE_BYTES: Counter = Counter::new("store.save.bytes");
     pub static LOAD_BYTES: Counter = Counter::new("store.load.bytes");
-    pub static DB_ENTRIES: Counter = Counter::new("corpus.db.entries");
-    pub static DB_DEDUP: Counter = Counter::new("corpus.db.dedup_hits");
 }
 
 pub use container::{Container, ContainerWriter, Section, MAGIC, VERSION};
-pub use corpus::{CorpusDb, CorpusEntry, GcReport, InsertOutcome, JournalCheckpoint};
 
 /// Why a store operation failed. Read paths return these for *any* byte
 /// sequence — a corrupted, truncated, or adversarial file is an error, not
@@ -55,7 +43,7 @@ pub enum StoreError {
     /// The container's format version is newer than this build understands.
     UnsupportedVersion(u32),
     /// The container is of a different kind than the caller expected
-    /// (e.g. opening a corpus database as a ChunkStore snapshot).
+    /// (e.g. a foreign container opened as a ChunkStore snapshot).
     WrongKind {
         /// Kind the caller asked for.
         expected: String,
@@ -66,7 +54,7 @@ pub enum StoreError {
     Truncated(&'static str),
     /// A section's stored checksum does not match its payload.
     ChecksumMismatch {
-        /// Name of the failing section (or record context).
+        /// Name of the failing section (`<table>` for the section table).
         section: String,
     },
     /// A required section is absent from the container.
@@ -132,34 +120,6 @@ pub fn hash64(bytes: &[u8]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// 128-bit content hash for content-addressed artifacts (corpus programs).
-/// Two independent [`hash64`]-style lanes over alternating words, folded;
-/// collisions only cost a (cheap) false dedup candidate, never corruption,
-/// but 128 bits keeps accidental collisions out of reach for 10^5+-entry
-/// corpora.
-pub fn hash128(bytes: &[u8]) -> u128 {
-    const PRIME: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut a = (bytes.len() as u64).wrapping_mul(PRIME) ^ 0xcbf2_9ce4_8422_2325;
-    let mut b = (bytes.len() as u64).rotate_left(32) ^ 0xc2b2_ae3d_27d4_eb4f;
-    let mut chunks = bytes.chunks_exact(8);
-    for w in &mut chunks {
-        let v = u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"));
-        a = (a.rotate_left(27) ^ v).wrapping_mul(PRIME);
-        b = (b.rotate_left(31) ^ v.swap_bytes()).wrapping_mul(PRIME);
-    }
-    for &x in chunks.remainder() {
-        a = (a.rotate_left(11) ^ x as u64).wrapping_mul(PRIME);
-        b = (b.rotate_left(13) ^ x as u64).wrapping_mul(PRIME);
-    }
-    let fin = |mut h: u64| {
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 29;
-        h
-    };
-    ((fin(a) as u128) << 64) | fin(b) as u128
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,12 +139,5 @@ mod tests {
                 assert_ne!(hash64(&m), h0, "flip at {byte}.{bit} undetected");
             }
         }
-    }
-
-    #[test]
-    fn hash128_discriminates() {
-        assert_ne!(hash128(b"program a"), hash128(b"program b"));
-        assert_ne!(hash128(b""), hash128(&[0]));
-        assert_eq!(hash128(b"same"), hash128(b"same"));
     }
 }

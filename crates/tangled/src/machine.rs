@@ -438,7 +438,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qat_coproc::QatConfig;
+    use qat_coproc::{QatConfig, StorageBackend};
     use tangled_asm::assemble_ok;
 
     fn run(src: &str) -> Machine {
@@ -559,10 +559,11 @@ mod tests {
 
     #[test]
     fn fused_gate_runs_match_per_gate_execution() {
-        // Gate-heavy loop body: with fusion on (interned backend) the
-        // peephole hands each iteration's straight-line gate run to the
-        // coprocessor in one call; architectural state and the step-event
-        // stream must be identical to per-gate dispatch.
+        // Gate-heavy loop body: on the default backend the peephole hands
+        // each iteration's straight-line gate run to the coprocessor in
+        // one call; architectural state and the step-event stream must be
+        // identical to per-gate dispatch on the eager backend, which never
+        // fuses.
         let src = "had @20,2\nlex $1,4\nlex $2,-1\n\
                    loop: had @10,0\nhad @11,1\nand @12,@10,@11\nxor @13,@10,@11\n\
                    cnot @11,@10\nccnot @13,@11,@12\nnot @12\nswap @10,@11\n\
@@ -570,9 +571,9 @@ mod tests {
                    add $1,$2\nbrt $1,loop\n\
                    lex $8,0\npop $8,@12\nsys\n";
         let img = assemble_ok(src);
-        let run_with = |fusion: bool| {
+        let run_with = |backend: StorageBackend| {
             let cfg = MachineConfig {
-                qat: QatConfig { fusion, ..QatConfig::with_ways(8) },
+                qat: QatConfig::with_backend(backend, 8),
                 ..Default::default()
             };
             let mut m = Machine::with_image(cfg, &img.words);
@@ -582,8 +583,9 @@ mod tests {
             }
             (m, events)
         };
-        let (fused, fused_events) = run_with(true);
-        let (plain, plain_events) = run_with(false);
+        let (fused, fused_events) = run_with(QatConfig::paper().backend);
+        let (plain, plain_events) = run_with(StorageBackend::Eager);
+        assert!(fused.qat.fusion_active() && !plain.qat.fusion_active());
         assert_eq!(fused_events, plain_events);
         assert_eq!(fused.regs, plain.regs);
         assert_eq!(fused.steps, plain.steps);
@@ -597,15 +599,15 @@ mod tests {
     fn fused_fault_reports_gate_pc_and_preserves_state() {
         // The scan stops before any gate that would write a reserved
         // constant register, so the faulting gate runs on the per-gate
-        // path: same faulting PC and same pre-fault state as unfused.
+        // path: same faulting PC and same pre-fault state as the eager
+        // backend, which never fuses.
         let src = "had @100,0\nnot @100\ncnot @100,@1\nzero @2\nsys\n";
         let img = assemble_ok(src);
-        let run_with = |fusion: bool| {
+        let run_with = |backend: StorageBackend| {
             let cfg = MachineConfig {
                 qat: QatConfig {
-                    fusion,
                     constant_registers: true,
-                    ..QatConfig::with_ways(8)
+                    ..QatConfig::with_backend(backend, 8)
                 },
                 ..Default::default()
             };
@@ -613,8 +615,9 @@ mod tests {
             let e = m.run().unwrap_err();
             (m, e)
         };
-        let (fused, fused_err) = run_with(true);
-        let (plain, plain_err) = run_with(false);
+        let (fused, fused_err) = run_with(QatConfig::paper().backend);
+        let (plain, plain_err) = run_with(StorageBackend::Eager);
+        assert!(fused.qat.fusion_active() && !plain.qat.fusion_active());
         assert!(matches!(fused_err, SimError::Qat { .. }));
         assert_eq!(fused_err, plain_err);
         assert_eq!(fused.steps, plain.steps);

@@ -8,7 +8,7 @@
 //!   `--telemetry` output);
 //! * [`export::metrics_json`] — the stable `tangled-metrics/v2` JSON
 //!   schema (counters + derived histogram quantiles) consumed by the
-//!   bench harness and CI, with a byte-exact v1 compatibility mode;
+//!   bench harness and CI;
 //! * [`export::chrome_trace`] — Chrome `trace_event` JSON loadable in
 //!   `chrome://tracing` and [Perfetto](https://ui.perfetto.dev).
 //!

@@ -5,13 +5,17 @@
 //! vs 4/5-stage pipelines, with periodic `qsim` state-vector and PBP
 //! word-level cross-checks of the Qat register file). Both phases fan
 //! out over the `tangled-serve` FIFO worker pool (`--workers`), with
-//! divergences minimized on the workers and written to a shared,
-//! deduplicated corpus as reassemblable `.s` files. Exit status 0 means
-//! zero divergences; SIGINT drains in-flight jobs, reports, and exits
-//! 130 — with `--metrics-out`, a well-formed `tangled-metrics/v2`
-//! document is written on every exit path, and with a flight recorder
-//! active (`--live-metrics`, `--crash-dir`, or `--trace`) the SIGINT
-//! path also drops a `crash-sigint.json` post-mortem bundle.
+//! divergences minimized on the workers and written to the corpus
+//! directory as reassemblable `.s` files, one per distinct program text.
+//! Exit status 0 means zero divergences, 1 a divergence, and 2 an input
+//! error (a bad flag, or a corpus file that does not assemble) found
+//! before anything runs. SIGINT drains in-flight jobs, reports, prints
+//! the `--start-seed`/`--seeds` pair that continues the campaign, and
+//! exits 130 — with `--metrics-out`, a well-formed `tangled-metrics/v2`
+//! document is written on every exit path past the input checks, and
+//! with a flight recorder active (`--live-metrics`, `--crash-dir`, or
+//! `--trace`) the SIGINT path also drops a `crash-sigint.json`
+//! post-mortem bundle.
 //!
 //! ```text
 //! qat-fuzz --seeds 1000                 # the acceptance run
@@ -36,7 +40,6 @@ use tangled_qat::sim::difftest::{
 };
 use tangled_qat::sim::proggen::{encode_program, random_program, ProgGenOptions, Profile};
 use tangled_qat::sim::{shrink, Coverage};
-use tangled_qat::store::{CorpusDb, CorpusEntry, InsertOutcome, JournalCheckpoint};
 use tangled_qat::telemetry::{self, export};
 
 struct Args {
@@ -48,7 +51,6 @@ struct Args {
     profile: Option<Profile>,
     corpus: PathBuf,
     replay: bool,
-    resume: bool,
     inject_forwarding_bug: bool,
     constant_registers: bool,
     max_seconds: u64,
@@ -71,7 +73,6 @@ impl Default for Args {
             profile: None,
             corpus: PathBuf::from("fuzz/corpus"),
             replay: true,
-            resume: false,
             inject_forwarding_bug: false,
             constant_registers: false,
             max_seconds: 0,
@@ -100,14 +101,13 @@ OPTIONS:
                            (default adaptive); every other registered
                            backend supporting W becomes an oracle
   --profile P              balanced|alu|qat|branch|mem (default: round-robin)
-  --corpus DIR             reproducer corpus directory (default fuzz/corpus);
-                           loose `*.s` files are migrated into the
-                           content-addressed `corpus.tsdb` journal on start
+  --corpus DIR             reproducer corpus directory (default fuzz/corpus):
+                           its `*.s` files are replayed first, and each new
+                           finding is written there unless a file already
+                           holds the same program text
   --no-replay              skip replaying the corpus first
-  --resume                 continue an interrupted campaign from the
-                           journal's checkpoint (same --start-seed)
   --workers N              worker threads for replay and the campaign
-                           (default 1)
+                           (1..=256, default 1)
   --metrics-out PATH       write the merged per-job telemetry snapshot as
                            tangled-metrics/v2 JSON on every exit path
   --live-metrics[=N]       emit one tangled-live/v1 snapshot line to stderr
@@ -154,12 +154,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--corpus" => args.corpus = PathBuf::from(val("--corpus")?),
             "--no-replay" => args.replay = false,
-            "--resume" => args.resume = true,
             "--workers" => {
                 args.workers = val("--workers")?.parse().map_err(|e| format!("{e}"))?;
-                if args.workers == 0 {
-                    return Err("--workers must be >= 1".into());
-                }
+                runner::check_workers(args.workers)?;
             }
             "--metrics-out" => args.metrics_out = Some(PathBuf::from(val("--metrics-out")?)),
             "--live-metrics" => args.live_interval = Some(8),
@@ -187,6 +184,14 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     runner::check_ways(args.backend, args.ways, true)?;
+    if args.start_seed.checked_add(args.seeds).is_none() {
+        return Err(format!(
+            "--start-seed {} --seeds {}: the seed range ends past {}",
+            args.start_seed,
+            args.seeds,
+            u64::MAX
+        ));
+    }
     Ok(args)
 }
 
@@ -253,9 +258,9 @@ fn write_metrics(path: &Path, snap: &telemetry::Snapshot) {
     }
 }
 
-/// Write a minimized reproducer as a reassemblable `.s` file.
-fn write_reproducer(dir: &Path, name: &str, prog: &[Insn], header: &[String]) -> PathBuf {
-    let _ = std::fs::create_dir_all(dir);
+/// A reassemblable reproducer: each header line as a `; ` comment, then
+/// the program disassembled one instruction per line.
+fn program_text(header: &[String], prog: &[Insn]) -> String {
     let mut text = String::new();
     for line in header {
         text.push_str("; ");
@@ -266,11 +271,7 @@ fn write_reproducer(dir: &Path, name: &str, prog: &[Insn], header: &[String]) ->
         text.push_str(&disassemble(i));
         text.push('\n');
     }
-    let path = dir.join(format!("{name}.s"));
-    if let Err(e) = std::fs::write(&path, text) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
-    path
+    text
 }
 
 /// Negative control: run the stale-read model, require a divergence, and
@@ -306,12 +307,17 @@ fn injected_bug_run(args: &Args) -> ExitCode {
             format!("ways {}", args.ways),
             format!("{} instructions (from {})", small.len(), prog.len()),
         ];
-        let path = write_reproducer(&args.corpus, &format!("forwarding_bug_seed{seed}"), &small, &header);
+        let name = format!("forwarding_bug_seed{seed}");
+        let text = program_text(&header, &small);
+        let saved = match runner::save_reproducer(&args.corpus, &name, &text) {
+            Ok(Some(path)) => path.display().to_string(),
+            Ok(None) => "already in the corpus".to_string(),
+            Err(e) => format!("not saved: {name}.s: {e}"),
+        };
         println!(
-            "injected forwarding bug caught at seed {seed}; minimized {} -> {} insns ({})",
+            "injected forwarding bug caught at seed {seed}; minimized {} -> {} insns ({saved})",
             prog.len(),
             small.len(),
-            path.display()
         );
         for i in &small {
             println!("    {}", disassemble(*i));
@@ -329,68 +335,34 @@ fn injected_bug_run(args: &Args) -> ExitCode {
 
 /// The deterministic reproducer text for a finding: the replay headers
 /// (`; ways`, `; constant-registers`) plus the disassembled program — and
-/// nothing seed-dependent, so its content address keys the *root cause*.
-/// Two workers minimizing different seeds to the same program produce one
-/// content address, and the journal dedups the insert.
+/// nothing seed-dependent, so the text keys the *root cause*. Two workers
+/// minimizing different seeds to the same program produce one text, and
+/// [`runner::save_reproducer`] writes it once.
 fn reproducer_text(
     f: &tangled_qat::serve::Finding,
     ways: u32,
     constant_registers: bool,
 ) -> String {
-    let mut text = format!("; {} reproducer\n; ways {ways}\n", f.kind.tag());
+    let mut header = vec![format!("{} reproducer", f.kind.tag()), format!("ways {ways}")];
     if f.kind == tangled_qat::serve::FindingKind::Divergence {
-        text.push_str(&format!("; constant-registers {}\n", constant_registers as u8));
+        header.push(format!("constant-registers {}", constant_registers as u8));
     }
-    for &i in &f.program {
-        text.push_str(&disassemble(i));
-        text.push('\n');
-    }
-    text
-}
-
-/// Open the campaign's corpus journal, migrating any loose `*.s`
-/// reproducers (the legacy layout, and the checked-in seed corpus) into
-/// it first. The migration is idempotent — re-opening an up-to-date
-/// journal inserts nothing — and files that cannot be read or no longer
-/// assemble are skipped with a warning rather than poisoning the database.
-fn open_campaign_db(dir: &Path) -> Result<CorpusDb, String> {
-    let path = CorpusDb::dir_path(dir);
-    let mut db = CorpusDb::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    runner::import_loose_files(&mut db, dir, |e| {
-        eprintln!("warning: not imported: {e}");
-        Ok(())
-    })?;
-    Ok(db)
+    program_text(&header, &f.program)
 }
 
 /// Client-side campaign state folded out of every finished job.
+#[derive(Default)]
 struct Campaign {
     ran: u64,
     divergences: u64,
     cancelled: u64,
     cov: Coverage,
     metrics: telemetry::Snapshot,
-    /// The shared reproducer corpus: insert-by-hash dedup means
-    /// concurrent workers minimizing different seeds to the same root
-    /// cause produce one journal entry, not one per seed — and unlike the
-    /// old in-memory set, the dedup holds across campaign restarts.
-    db: CorpusDb,
 }
 
 impl Campaign {
-    fn new(db: CorpusDb) -> Self {
-        Campaign {
-            ran: 0,
-            divergences: 0,
-            cancelled: 0,
-            cov: Coverage::default(),
-            metrics: telemetry::Snapshot::default(),
-            db,
-        }
-    }
-
-    /// Fold one job result in: merge metrics/coverage, print and record
-    /// findings, and insert (deduplicated) corpus entries.
+    /// Fold one job result in: merge metrics/coverage, print findings,
+    /// and save each new reproducer to the corpus.
     fn absorb(&mut self, r: &JobResult, args: &Args) {
         self.metrics.merge_from(&r.metrics);
         match &r.result {
@@ -409,33 +381,16 @@ impl Campaign {
                     );
                     let text = reproducer_text(f, args.ways, args.constant_registers);
                     let name = format!("{}_seed{}", f.kind.tag(), f.seed);
-                    let mut entry =
-                        CorpusEntry::from_text(&name, &text, args.ways, args.constant_registers);
-                    entry.kind = "reproducer".to_string();
-                    entry.seed = f.seed;
-                    entry.outcome = f.kind.tag().to_string();
-                    entry.provenance = f.detail.clone();
-                    if !r.label.is_empty() {
-                        entry.provenance.push_str(&format!("; profile {}", r.label));
-                    }
-                    match self.db.insert(entry) {
-                        Ok(InsertOutcome::Inserted) => {
-                            // New root cause: journal entry plus the loose
-                            // `.s` file (still the human-facing artifact).
-                            let path = self.db.path().with_file_name(format!("{name}.s"));
-                            if let Err(e) = std::fs::write(&path, &text) {
-                                eprintln!("warning: could not write {}: {e}", path.display());
-                            }
-                            eprintln!(
-                                "  minimized to {} insns: {}",
-                                f.program.len(),
-                                path.display()
-                            );
-                        }
-                        Ok(_) => eprintln!(
-                            "  duplicate of an existing reproducer (same content address); corpus unchanged"
+                    match runner::save_reproducer(&args.corpus, &name, &text) {
+                        Ok(Some(path)) => eprintln!(
+                            "  minimized to {} insns: {}",
+                            f.program.len(),
+                            path.display()
                         ),
-                        Err(e) => eprintln!("warning: corpus insert failed: {e}"),
+                        Ok(None) => eprintln!(
+                            "  duplicate of an existing reproducer (same program text); corpus unchanged"
+                        ),
+                        Err(e) => eprintln!("warning: could not save {name}.s: {e}"),
                     }
                 }
             }
@@ -450,34 +405,43 @@ impl Campaign {
     }
 }
 
-/// Replay every corpus program through the oracle as differential jobs
-/// on the pool (headers parsed by the shared [`runner`] helpers, on the
-/// campaign's backend). The journal is the source of truth; it was
-/// populated from any loose `.s` files at open.
+/// One differential job per `.s` file in the corpus directory, in
+/// [`runner::corpus_files`] order, labelled by file name, with the
+/// headers parsed by [`runner::corpus_diff_config`] on the campaign's
+/// backend. A file that cannot be read or does not assemble is an input
+/// error, reported before any job runs.
+fn corpus_jobs(dir: &Path, backend: StorageBackend) -> Result<Vec<JobSpec>, String> {
+    runner::corpus_files(dir)
+        .into_iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read corpus file {}: {e}", path.display()))?;
+            let img = asm::assemble(&text).map_err(|e| {
+                format!("corpus file {} does not assemble: {e}", path.display())
+            })?;
+            Ok(JobSpec {
+                kind: JobKind::Differential { words: img.words },
+                cfg: runner::corpus_diff_config(&text, backend),
+                label: path.file_name().unwrap_or_default().to_string_lossy().into_owned(),
+            })
+        })
+        .collect()
+}
+
+/// Replay the corpus jobs through the oracle on the pool; the first
+/// divergence (or failed job) is the error.
 fn replay_corpus(
     pool: &Pool,
     campaign: &mut Campaign,
-    backend: StorageBackend,
+    jobs: Vec<JobSpec>,
 ) -> Result<usize, String> {
-    let programs: Vec<(String, String)> = campaign
-        .db
-        .entries()
-        .iter()
-        .map(|e| (e.name.clone(), e.text.clone()))
-        .collect();
     let mut submitted = 0;
-    for (name, text) in programs {
+    for job in jobs {
         if interrupted() {
             break;
         }
-        let img = asm::assemble(&text).map_err(|e| format!("{name}: {e}"))?;
-        let cfg = runner::corpus_diff_config(&text, backend);
-        pool.submit(JobSpec {
-            kind: JobKind::Differential { words: img.words },
-            cfg,
-            label: name.clone(),
-        })
-        .map_err(|e| format!("{name}: {e}"))?;
+        let label = job.label.clone();
+        pool.submit(job).map_err(|e| format!("{label}: {e}"))?;
         submitted += 1;
     }
     let mut failure = None;
@@ -512,6 +476,19 @@ fn main() -> ExitCode {
     if args.inject_forwarding_bug {
         return injected_bug_run(&args);
     }
+    // A corpus file that does not assemble is an input error, like a bad
+    // flag: rejected before any job runs, not replayed as a divergence.
+    let replay_jobs = if args.replay {
+        match corpus_jobs(&args.corpus, args.backend) {
+            Ok(jobs) => Some(jobs),
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::from(2);
+            }
+        }
+    } else {
+        None
+    };
 
     // Per-job counter snapshots: counters on for the whole run; --trace
     // additionally fills the span ring that crash bundles embed.
@@ -536,18 +513,11 @@ fn main() -> ExitCode {
         flight,
         ..Default::default()
     });
-    let db = match open_campaign_db(&args.corpus) {
-        Ok(db) => db,
-        Err(e) => {
-            eprintln!("error: corpus database: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut campaign = Campaign::new(db);
+    let mut campaign = Campaign::default();
     let start = Instant::now();
 
-    if args.replay {
-        match replay_corpus(&pool, &mut campaign, args.backend) {
+    if let Some(jobs) = replay_jobs {
+        match replay_corpus(&pool, &mut campaign, jobs) {
             Ok(n) => println!("corpus: {n} reproducer(s) replayed clean"),
             Err(e) => {
                 eprintln!("corpus replay divergence: {e}");
@@ -575,22 +545,6 @@ fn main() -> ExitCode {
     let profiles = Profile::all();
     let end_seed = args.start_seed + args.seeds;
     let mut next_seed = args.start_seed;
-    // --resume: skip the prefix a previous campaign already checkpointed
-    // (only a checkpoint of the *same* base seed is meaningful — a
-    // different --start-seed is a different campaign).
-    let prev = campaign.db.checkpoint().filter(|cp| cp.base_seed == args.start_seed);
-    if args.resume {
-        if let Some(cp) = prev {
-            next_seed = (args.start_seed + cp.programs).min(end_seed);
-            println!(
-                "resume: checkpoint covers {} seed(s) from {}; continuing at {next_seed}",
-                cp.programs, cp.base_seed
-            );
-        } else {
-            println!("resume: no matching checkpoint in the journal; starting fresh");
-        }
-    }
-    let resume_skip = next_seed - args.start_seed;
     let mut submitted = 0u64;
     let mut collected = 0u64;
     let mut stop_reason: Option<&str> = None;
@@ -664,20 +618,15 @@ fn main() -> ExitCode {
     }
     if let Some(reason) = stop_reason {
         println!("{reason} after {} seeds", campaign.ran);
-    }
-
-    // Journal the campaign high-water mark so `--resume` can continue an
-    // interrupted run. Discarded (still-queued) jobs are the newest
-    // submissions, so the completed seed prefix is contiguous.
-    let carried = if args.resume { prev } else { None };
-    let cp = JournalCheckpoint {
-        programs: resume_skip + submitted - campaign.cancelled,
-        executed: carried.map_or(0, |p| p.executed) + campaign.ran,
-        divergences: carried.map_or(0, |p| p.divergences) + campaign.divergences,
-        base_seed: args.start_seed,
-    };
-    if let Err(e) = campaign.db.set_checkpoint(cp) {
-        eprintln!("warning: could not checkpoint the campaign: {e}");
+        // Discarded (still-queued) jobs are always the newest submissions,
+        // so the seeds that ran form a prefix of the range.
+        let resume_at = args.start_seed + submitted - campaign.cancelled;
+        if resume_at < end_seed {
+            println!(
+                "to continue this campaign, run it again with --start-seed {resume_at} --seeds {}",
+                end_seed - resume_at
+            );
+        }
     }
 
     print_campaign_summary(

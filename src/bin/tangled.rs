@@ -23,7 +23,7 @@
 //!                       (`--qat-backend interned`, or an adaptive run that
 //!                       promoted)
 //! tangled serve <prog.s>... [opts]       run many programs on the job pool
-//!     --workers N       worker threads (default 2)
+//!     --workers N       worker threads (1..=256, default 2)
 //!     --model NAME      run each program on one registry model instead of
 //!                       the full differential oracle
 //!     --ways N          entanglement degree (default 16)
@@ -39,14 +39,6 @@
 //!                       it as the ambient warm default: every worker warms
 //!                       its matching-degree register files from one shared
 //!                       copy of the chunk payloads
-//! tangled corpus <import|export|ls|stats|gc> [dir] [opts]
-//!     import DIR        migrate loose `*.s` reproducers into DIR/corpus.tsdb
-//!                       (content-addressed; re-import is a no-op)
-//!     export DIR        write journal entries back out as loose `.s` files
-//!         --out D       target directory (default: DIR)
-//!     ls DIR            one line per entry: address, ways, kind, name
-//!     stats DIR         entry/journal/checkpoint totals
-//!     gc DIR            compact superseded records out of the journal
 //! tangled metrics diff <baseline> <current> [opts]   perf-regression gate
 //!     --threshold F     default allowed relative change (default 0.05)
 //!     --key-threshold P=F  override threshold for keys with prefix P
@@ -82,7 +74,7 @@ use tangled_qat::telemetry::{self, export};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: tangled <asm|dis|run> <prog.s> [options]\n       tangled serve <prog.s>... [--workers N] [--model NAME] [--warm-store F]\n       tangled corpus <import|export|ls|stats|gc> [dir]\n       tangled factor <n> [--width W]\n       tangled backends\n(see `src/bin/tangled.rs` docs for options)"
+        "usage: tangled <asm|dis|run> <prog.s> [options]\n       tangled serve <prog.s>... [--workers N] [--model NAME] [--warm-store F]\n       tangled factor <n> [--width W]\n       tangled backends\n(see `src/bin/tangled.rs` docs for options)"
     );
     ExitCode::from(2)
 }
@@ -333,9 +325,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .ok_or("--workers needs a value")?
                     .parse()
                     .map_err(|_| "--workers: not a number")?;
-                if workers == 0 {
-                    return Err("--workers must be >= 1".into());
-                }
+                runner::check_workers(workers)?;
             }
             "--ways" => {
                 ways = it
@@ -904,108 +894,6 @@ fn cmd_debug(path: &str, args: &[String]) -> Result<(), String> {
     Debugger::load(path, ways)?.prompt_loop()
 }
 
-/// `tangled corpus` — manage the content-addressed corpus database
-/// (`corpus.tsdb`, see `tangled_store::CorpusDb`). `import` migrates the
-/// legacy loose-file layout; `export` writes it back; `ls`/`stats`
-/// inspect; `gc` compacts superseded journal records.
-fn cmd_corpus(args: &[String]) -> Result<(), String> {
-    use tangled_qat::store::CorpusDb;
-
-    let (sub, rest) = args
-        .split_first()
-        .ok_or("corpus: expected import|export|ls|stats|gc")?;
-    let mut dir = std::path::PathBuf::from("fuzz/corpus");
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut it = rest.iter();
-    let mut dir_given = false;
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = Some(it.next().ok_or("--out needs a path")?.into()),
-            flag if flag.starts_with("--") => return Err(format!("unknown option `{flag}`")),
-            p if !dir_given => {
-                dir = p.into();
-                dir_given = true;
-            }
-            extra => return Err(format!("corpus {sub}: unexpected argument `{extra}`")),
-        }
-    }
-    let db_path = CorpusDb::dir_path(&dir);
-    let open_existing = || {
-        CorpusDb::open_existing(&db_path).map_err(|e| format!("{}: {e}", db_path.display()))
-    };
-    match sub.as_str() {
-        "import" => {
-            if runner::corpus_files(&dir).is_empty() {
-                return Err(format!("corpus import: no `.s` files in {}", dir.display()));
-            }
-            let mut db =
-                CorpusDb::open(&db_path).map_err(|e| format!("{}: {e}", db_path.display()))?;
-            // Imports must stay replayable: a file that no longer
-            // assembles fails the import rather than poisoning the database.
-            let (inserted, dups) = runner::import_loose_files(&mut db, &dir, Err)?;
-            println!(
-                "imported {inserted} program(s) into {} ({dups} already present, {} total)",
-                db_path.display(),
-                db.len()
-            );
-        }
-        "export" => {
-            let db = open_existing()?;
-            let target = out.unwrap_or_else(|| dir.clone());
-            std::fs::create_dir_all(&target).map_err(|e| format!("{}: {e}", target.display()))?;
-            for e in db.entries() {
-                let path = target.join(format!("{}.s", e.name));
-                std::fs::write(&path, &e.text).map_err(|e| format!("{}: {e}", path.display()))?;
-            }
-            println!("exported {} program(s) to {}", db.len(), target.display());
-        }
-        "ls" => {
-            let db = open_existing()?;
-            for e in db.entries() {
-                println!(
-                    "{:016x} ways {:>2} {:<12} {}{}",
-                    (e.hash >> 64) as u64,
-                    e.ways,
-                    if e.kind.is_empty() { "-" } else { &e.kind },
-                    e.name,
-                    if e.outcome.is_empty() {
-                        String::new()
-                    } else {
-                        format!("  [{}]", e.outcome)
-                    }
-                );
-            }
-        }
-        "stats" => {
-            let db = open_existing()?;
-            println!(
-                "{}: {} entry(ies), {} journal byte(s), {} superseded record(s)",
-                db_path.display(),
-                db.len(),
-                db.journal_bytes(),
-                db.dead_records()
-            );
-            match db.checkpoint() {
-                Some(cp) => println!(
-                    "checkpoint: {} program(s) from seed {}, {} executed, {} divergence(s)",
-                    cp.programs, cp.base_seed, cp.executed, cp.divergences
-                ),
-                None => println!("checkpoint: none"),
-            }
-        }
-        "gc" => {
-            let mut db = open_existing()?;
-            let r = db.gc().map_err(|e| format!("{}: {e}", db_path.display()))?;
-            println!(
-                "gc: {} -> {} byte(s), {} record(s) dropped",
-                r.bytes_before, r.bytes_after, r.records_dropped
-            );
-        }
-        other => return Err(format!("corpus: unknown subcommand `{other}`")),
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, rest) = match args.split_first() {
@@ -1020,7 +908,6 @@ fn main() -> ExitCode {
             Err(e) => Err(e),
         },
         ("serve", Some(_)) => cmd_serve(rest),
-        ("corpus", Some(_)) => cmd_corpus(rest),
         ("metrics", Some((sub, rest2))) if sub == "diff" => cmd_metrics_diff(rest2),
         ("backends", _) => cmd_backends(),
         ("factor", Some((n, opts))) => cmd_factor(n, opts),

@@ -1,6 +1,7 @@
 //! Shared driver plumbing for the `tangled` CLI, the `qat-fuzz` binary,
 //! and the conformance tests: program loading (`.s` assembly or `.vmem`
-//! memory images) and the `; key value` corpus-header conventions.
+//! memory images), CLI bounds, and the reproducer corpus — a directory of
+//! loose `.s` files with `; key value` headers.
 //!
 //! Both binaries used to carry private copies of this logic; keeping it in
 //! the library means a reproducer written by the fuzzer is read back under
@@ -12,9 +13,8 @@
 use std::path::{Path, PathBuf};
 
 use qat_coproc::StorageBackend;
-use tangled_asm::{assemble, assemble_with, AsmOptions};
+use tangled_asm::{assemble_with, AsmOptions};
 use tangled_sim::{DiffConfig, VmemImage};
-use tangled_store::{CorpusDb, CorpusEntry};
 
 /// Load a program as memory words: a `.vmem` pre-assembled image, or
 /// anything else as assembly source.
@@ -54,6 +54,20 @@ pub fn check_ways(b: StorageBackend, ways: u32, job: bool) -> Result<(), String>
     Ok(())
 }
 
+/// Most worker threads a `--workers` flag may ask for. Pools spawn every
+/// worker up front, so an unbounded count would be an unbounded number of
+/// OS threads.
+pub const MAX_WORKERS: usize = 256;
+
+/// Check a `--workers` argument against `1..=`[`MAX_WORKERS`].
+pub fn check_workers(n: usize) -> Result<(), String> {
+    if (1..=MAX_WORKERS).contains(&n) {
+        Ok(())
+    } else {
+        Err(format!("--workers must be in 1..={MAX_WORKERS}, got {n}"))
+    }
+}
+
 /// Parse a `; key value` numeric header from a corpus reproducer (the
 /// fuzzer writes them; [`corpus_diff_config`] reads them back).
 pub fn corpus_header(text: &str, key: &str, default: u64) -> u64 {
@@ -90,85 +104,28 @@ pub fn corpus_files(dir: &Path) -> Vec<PathBuf> {
     paths
 }
 
-/// One corpus program ready to replay: a display label plus its assembly
-/// text (headers included).
-#[derive(Debug, Clone)]
-pub struct CorpusProgram {
-    /// Where the program came from — a journal entry name or a file path.
-    pub label: String,
-    /// The reassemblable program text.
-    pub text: String,
-}
-
-/// All programs in a corpus directory, in deterministic order.
-///
-/// When the directory holds a `corpus.tsdb` journal (see
-/// [`CorpusDb`]), the database is authoritative and its
-/// entries are returned in insertion order. Otherwise discovery falls
-/// back to the legacy loose-file layout: sorted `*.s` files — so the
-/// checked-in seed reproducers keep replaying with or without a journal.
-pub fn corpus_programs(dir: &Path) -> Result<Vec<CorpusProgram>, String> {
-    let db_path = CorpusDb::dir_path(dir);
-    if db_path.exists() {
-        let db = CorpusDb::open_existing(&db_path)
-            .map_err(|e| format!("{}: {e}", db_path.display()))?;
-        return Ok(db
-            .entries()
-            .iter()
-            .map(|e| CorpusProgram { label: e.name.clone(), text: e.text.clone() })
-            .collect());
-    }
-    corpus_files(dir)
-        .into_iter()
-        .map(|p| {
-            let text = std::fs::read_to_string(&p)
-                .map_err(|e| format!("{}: {e}", p.display()))?;
-            Ok(CorpusProgram { label: p.display().to_string(), text })
-        })
-        .collect()
-}
-
-/// Migrate the loose `*.s` reproducers in `dir` into `db`, each as an
-/// `imported` entry named after its file, with the degree and
-/// constant-register mode its `; ways` / `; constant-registers` headers
-/// pin. Texts already in the database are left alone. A file that cannot
-/// be read or does not assemble goes to `reject` with its error; the
-/// caller decides whether that fails the import (`Err`) or skips the
-/// file (`Ok`). Returns `(inserted, already_present)`.
-pub fn import_loose_files(
-    db: &mut CorpusDb,
-    dir: &Path,
-    mut reject: impl FnMut(String) -> Result<(), String>,
-) -> Result<(u64, u64), String> {
-    let (mut inserted, mut present) = (0, 0);
-    for path in corpus_files(dir) {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) => {
-                reject(format!("{}: {e}", path.display()))?;
-                continue;
-            }
-        };
-        if db.contains_text(&text) {
-            present += 1;
-            continue;
+/// Save a reproducer as `<name>.s` in `dir` (created if missing), unless
+/// a `.s` file there already holds exactly `text`: then nothing is
+/// written and the result is `None`. The files are the corpus's only
+/// state, so this dedup holds across workers and across campaigns. A
+/// name already taken by another program gets a `_1`, `_2`, ... suffix
+/// rather than overwriting it.
+pub fn save_reproducer(dir: &Path, name: &str, text: &str) -> std::io::Result<Option<PathBuf>> {
+    for existing in corpus_files(dir) {
+        if std::fs::read(&existing)? == text.as_bytes() {
+            return Ok(None);
         }
-        if let Err(e) = assemble(&text) {
-            reject(format!("{}: {e}", path.display()))?;
-            continue;
-        }
-        let name = path.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default();
-        let mut entry = CorpusEntry::from_text(
-            &name,
-            &text,
-            corpus_header(&text, "ways", 8) as u32,
-            corpus_header(&text, "constant-registers", 0) != 0,
-        );
-        entry.kind = "imported".to_string();
-        db.insert(entry).map_err(|e| format!("{}: {e}", db.path().display()))?;
-        inserted += 1;
     }
-    Ok((inserted, present))
+    std::fs::create_dir_all(dir)?;
+    let mut path = dir.join(format!("{name}.s"));
+    for n in 1.. {
+        if !path.exists() {
+            break;
+        }
+        path = dir.join(format!("{name}_{n}.s"));
+    }
+    std::fs::write(&path, text)?;
+    Ok(Some(path))
 }
 
 #[cfg(test)]
@@ -206,37 +163,24 @@ mod tests {
         assert!(files.len() >= 5, "seed corpus expected, found {}", files.len());
         assert!(files.windows(2).all(|w| w[0] < w[1]), "sorted");
         assert!(corpus_files(Path::new("no/such/dir")).is_empty());
-        // Without a journal, program discovery is the loose-file layout.
-        // The checked-in directory may hold a journal a local fuzz run
-        // left behind, so check the layout on a copy of the seed files.
-        let copy = std::env::temp_dir()
-            .join(format!("tangled-runner-seeds-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&copy);
-        std::fs::create_dir_all(&copy).unwrap();
-        for f in &files {
-            std::fs::copy(f, copy.join(f.file_name().unwrap())).unwrap();
-        }
-        let programs = corpus_programs(&copy).unwrap();
-        assert_eq!(programs.len(), files.len());
-        let _ = std::fs::remove_dir_all(&copy);
     }
 
     #[test]
-    fn corpus_programs_prefers_the_journal() {
+    fn save_reproducer_dedups_by_text() {
         let dir = std::env::temp_dir()
-            .join(format!("tangled-runner-corpus-{}", std::process::id()));
+            .join(format!("tangled-runner-save-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("loose.s"), "; ways 8\nsys\n").unwrap();
-        // Loose layout first...
-        assert_eq!(corpus_programs(&dir).unwrap().len(), 1);
-        // ...then a journal appears and becomes authoritative.
-        let mut db = CorpusDb::open(&CorpusDb::dir_path(&dir)).unwrap();
-        db.insert(CorpusEntry::from_text("a", "; ways 8\nadd $1,$1\nsys\n", 8, false)).unwrap();
-        db.insert(CorpusEntry::from_text("b", "; ways 8\nnot @1\nsys\n", 8, false)).unwrap();
-        let programs = corpus_programs(&dir).unwrap();
-        assert_eq!(programs.len(), 2);
-        assert_eq!(programs[0].label, "a");
+        let (a, b) = ("; ways 8\nadd $1,$1\nsys\n", "; ways 8\nnot @1\nsys\n");
+        assert_eq!(save_reproducer(&dir, "a", a).unwrap(), Some(dir.join("a.s")));
+        assert_eq!(save_reproducer(&dir, "b", a).unwrap(), None);
+        assert_eq!(corpus_files(&dir), [dir.join("a.s")]);
+        assert_eq!(save_reproducer(&dir, "b", b).unwrap(), Some(dir.join("b.s")));
+        assert_eq!(corpus_files(&dir), [dir.join("a.s"), dir.join("b.s")]);
+        assert_eq!(std::fs::read_to_string(dir.join("b.s")).unwrap(), b);
+        // A taken name never overwrites another program.
+        let c = "; ways 4\nnot @1\nsys\n";
+        assert_eq!(save_reproducer(&dir, "a", c).unwrap(), Some(dir.join("a_1.s")));
+        assert_eq!(std::fs::read_to_string(dir.join("a.s")).unwrap(), a);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -14,8 +14,20 @@ fn tangled(args: &[&str]) -> (String, String, bool) {
     )
 }
 
+fn qat_fuzz(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_qat-fuzz")).args(args).output().expect("binary runs")
+}
+
 fn asm_path(name: &str) -> String {
     format!("{}/examples/asm/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// A fresh, empty scratch directory for one test.
+fn fresh_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("tangled_cli_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 #[test]
@@ -46,7 +58,9 @@ fn run_options_select_models() {
 }
 
 /// The retired model shorthands and the legacy metrics flag are unknown
-/// options now: `--model` and the v2 document are the only spellings.
+/// options now: `--model` and the v2 document are the only spellings. The
+/// corpus is its loose `.s` files, so the journal's `tangled corpus`
+/// subcommands and `qat-fuzz --resume` are gone too.
 #[test]
 fn retired_flags_are_rejected() {
     let path = asm_path("counting.s");
@@ -57,12 +71,17 @@ fn retired_flags_are_rejected() {
         assert!(!ok, "{flags:?} accepted");
         assert!(stderr.contains("unknown option"), "{flags:?}: {stderr}");
     }
-    let out = Command::new(env!("CARGO_BIN_EXE_qat-fuzz"))
-        .arg("--metrics-v1")
+    let corpus = format!("{}/fuzz/corpus", env!("CARGO_MANIFEST_DIR"));
+    let out = Command::new(env!("CARGO_BIN_EXE_tangled"))
+        .args(["corpus", "ls", &corpus])
         .output()
         .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2), "qat-fuzz --metrics-v1 is a usage error");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+    assert_eq!(out.status.code(), Some(2), "tangled corpus is a usage error");
+    for flag in ["--metrics-v1", "--resume"] {
+        let out = qat_fuzz(&[flag]);
+        assert_eq!(out.status.code(), Some(2), "qat-fuzz {flag} is a usage error");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+    }
 }
 
 #[test]
@@ -302,6 +321,91 @@ fn qat_fuzz_rejects_ways_past_register_capture() {
     assert!(stderr.lines().next().is_some_and(|l| l.contains("at most 26 ways")), "{stderr}");
 }
 
+/// A seed range that ends past `u64::MAX` is a usage error, not an
+/// overflow.
+#[test]
+fn qat_fuzz_rejects_seed_range_overflow() {
+    let dir = fresh_dir("seed_overflow");
+    let out = qat_fuzz(&[
+        "--start-seed",
+        "18446744073709551615",
+        "--seeds",
+        "2",
+        "--no-replay",
+        "--corpus",
+        dir.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("seed range"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--workers` is bounded in both binaries that start a pool, the same
+/// way each rejects `--workers 0`.
+#[test]
+fn workers_past_the_cap_are_rejected() {
+    let (_, stderr, ok) = tangled(&["serve", &asm_path("counting.s"), "--workers", "257"]);
+    assert!(!ok);
+    assert!(stderr.contains("1..=256"), "{stderr}");
+    let dir = fresh_dir("workers_cap");
+    let corpus = dir.to_str().unwrap();
+    let out = qat_fuzz(&["--workers", "257", "--seeds", "0", "--no-replay", "--corpus", corpus]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("1..=256"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A corpus file that does not assemble is an input error named in one
+/// line before any campaign starts, not a divergence; `--no-replay`
+/// still skips the corpus.
+#[test]
+fn qat_fuzz_rejects_a_corpus_file_that_does_not_assemble() {
+    let dir = fresh_dir("bad_corpus");
+    std::fs::write(dir.join("bad.s"), "bogus @@@\n").unwrap();
+    let out = qat_fuzz(&["--seeds", "0", "--corpus", dir.to_str().unwrap()]);
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(2), "{stdout}{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("bad.s") && stderr.contains("does not assemble"), "{stderr}");
+    assert!(!stderr.contains("divergence"), "{stderr}");
+    assert!(!stdout.contains("campaign:"), "{stdout}");
+    let out = qat_fuzz(&["--seeds", "0", "--no-replay", "--corpus", dir.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Replay reads exactly the `.s` files in the corpus directory as they are
+/// now: an edited file replays once, in its new form, a deleted one not at
+/// all, and a clean campaign leaves nothing else behind.
+#[test]
+fn qat_fuzz_replays_exactly_the_corpus_files() {
+    let seeds = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fuzz/corpus");
+    let dir = fresh_dir("exact_corpus");
+    let files = tangled_qat::runner::corpus_files(&seeds);
+    for f in &files {
+        std::fs::copy(f, dir.join(f.file_name().unwrap())).unwrap();
+    }
+    let expect_replayed = |n: usize| {
+        let out = qat_fuzz(&["--seeds", "0", "--corpus", dir.to_str().unwrap()]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+        assert!(stdout.contains(&format!("corpus: {n} reproducer(s) replayed clean")), "{stdout}");
+    };
+    expect_replayed(files.len());
+    std::fs::write(dir.join("qat_datapath.s"), "; ways 8\nlex $1,3\nsys\n").unwrap();
+    expect_replayed(files.len());
+    std::fs::remove_file(dir.join("branch_edges.s")).unwrap();
+    expect_replayed(files.len() - 1);
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        assert!(path.extension().is_some_and(|x| x == "s"), "left behind: {}", path.display());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn qat_fuzz_sigint_drains_and_writes_metrics() {
     use std::io::{BufRead, BufReader};
@@ -359,7 +463,15 @@ fn qat_fuzz_sigint_drains_and_writes_metrics() {
     std::io::Read::read_to_string(&mut reader, &mut rest).unwrap();
     let status = child.wait().unwrap();
     assert_eq!(status.code(), Some(130), "SIGINT exits 130\n{rest}");
-    assert!(rest.contains("interrupted"), "{rest}");
+
+    // The seeds that ran are a prefix of the range, and the printed
+    // continuation starts right after it.
+    let number_after = |marker: &str| -> u64 {
+        let tail = &rest[rest.find(marker).unwrap_or_else(|| panic!("no `{marker}`: {rest}"))..];
+        tail[marker.len()..].split_whitespace().next().unwrap().parse().unwrap()
+    };
+    let ran = number_after("interrupted after ");
+    assert_eq!(number_after("--start-seed "), 1 + ran, "{rest}");
 
     // The metrics artifact must be present and well-formed even on the
     // interrupt path.

@@ -1,9 +1,9 @@
 //! Replay the checked-in minimized-reproducer corpus (`fuzz/corpus/*.s`)
-//! through the differential oracle. Every file is a program that once
-//! exposed (or canonically represents) a cross-model hazard; they must
-//! all assemble and agree across the full model matrix forever — whether
-//! discovered through the legacy loose-file layout or the
-//! content-addressed `corpus.tsdb` database that replaces it.
+//! through the differential oracle, in the sorted order
+//! [`runner::corpus_files`] gives and `qat-fuzz` replays. Every file is a
+//! program that once exposed (or canonically represents) a cross-model
+//! hazard; they must all assemble and agree across the full model matrix
+//! forever.
 
 use std::path::PathBuf;
 use tangled_qat::asm;
@@ -11,22 +11,9 @@ use tangled_qat::qat::StorageBackend;
 use tangled_qat::runner;
 use tangled_qat::sim::difftest::compare_all;
 use tangled_qat::sim::Machine;
-use tangled_qat::store::CorpusDb;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fuzz/corpus")
-}
-
-/// A temp-dir corpus database populated from the checked-in loose files
-/// by the migration `tangled corpus import` / `qat-fuzz` perform.
-fn imported_db(tag: &str) -> (PathBuf, CorpusDb) {
-    let dir = std::env::temp_dir()
-        .join(format!("tangled-corpus-replay-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut db = CorpusDb::open(&CorpusDb::dir_path(&dir)).unwrap();
-    runner::import_loose_files(&mut db, &corpus_dir(), Err).unwrap();
-    (dir, db)
 }
 
 #[test]
@@ -48,70 +35,22 @@ fn corpus_exists_and_replays_clean() {
     }
 }
 
-/// Migrating the loose corpus into a `corpus.tsdb` journal loses nothing:
-/// discovery flips from the file fallback to the database, the program
-/// texts are byte-identical, a second import dedups to a no-op, and a
-/// reopened database replays every entry clean through the oracle —
-/// loose-file and database replay are the same experiment.
+/// Corpus replay is byte-deterministic across pool sizes: the corpus
+/// files submitted as differential jobs produce identical per-job payloads
+/// and telemetry at 1, 2, and 4 workers.
 #[test]
-fn corpus_db_import_replays_identically_to_loose_files() {
-    let loose: Vec<(String, String)> = runner::corpus_files(&corpus_dir())
-        .into_iter()
-        .map(|p| {
-            let name = p.file_stem().unwrap().to_string_lossy().into_owned();
-            (name, std::fs::read_to_string(&p).unwrap())
-        })
-        .collect();
-    let (dir, mut db) = imported_db("parity");
-    assert_eq!(db.len(), loose.len(), "import dropped or invented entries");
-
-    // Discovery now prefers the journal, and the texts match exactly.
-    let programs = runner::corpus_programs(&dir).unwrap();
-    assert_eq!(programs.len(), loose.len());
-    for ((ln, lt), p) in loose.iter().zip(&programs) {
-        assert_eq!(&p.label, ln);
-        assert_eq!(&p.text, lt, "{ln}: import changed the program bytes");
-    }
-
-    // Re-import is a no-op (content addressing), and a fresh open sees
-    // the same database.
-    assert_eq!(
-        runner::import_loose_files(&mut db, &corpus_dir(), Err).unwrap(),
-        (0, loose.len() as u64),
-        "re-import created a duplicate"
-    );
-    let db2 = CorpusDb::open_existing(&CorpusDb::dir_path(&dir)).unwrap();
-    assert_eq!(db2.len(), loose.len());
-
-    // And every database entry replays clean, exactly like the loose run.
-    for e in db2.entries() {
-        let img = asm::assemble(&e.text)
-            .unwrap_or_else(|err| panic!("{}: assembly failed: {err}", e.name));
-        let cfg = runner::corpus_diff_config(&e.text, StorageBackend::Interned);
-        if let Err(d) = compare_all(&img.words, &cfg, None) {
-            panic!("{}: {d}", e.name);
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Database-driven replay is byte-deterministic across pool sizes: the
-/// same `corpus.tsdb` submitted as differential jobs produces identical
-/// per-job payloads and telemetry at 1, 2, and 4 workers.
-#[test]
-fn corpus_db_replay_is_deterministic_across_worker_counts() {
+fn corpus_replay_is_deterministic_across_worker_counts() {
     use tangled_qat::serve::{JobKind, JobResult, JobSpec, Pool, ServeConfig};
     tangled_qat::telemetry::set_mode(tangled_qat::telemetry::Mode::Counters);
-    let (dir, db) = imported_db("workers");
-    let jobs: Vec<JobSpec> = db
-        .entries()
-        .iter()
-        .map(|e| {
-            let img = asm::assemble(&e.text).unwrap();
+    let jobs: Vec<JobSpec> = runner::corpus_files(&corpus_dir())
+        .into_iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let img = asm::assemble(&text).unwrap();
             JobSpec {
                 kind: JobKind::Differential { words: img.words },
-                cfg: runner::corpus_diff_config(&e.text, StorageBackend::Interned),
-                label: e.name.clone(),
+                cfg: runner::corpus_diff_config(&text, StorageBackend::Interned),
+                label: path.file_name().unwrap().to_string_lossy().into_owned(),
             }
         })
         .collect();
@@ -133,7 +72,6 @@ fn corpus_db_replay_is_deterministic_across_worker_counts() {
             assert_eq!(a.metrics, b.metrics, "metrics of {} differ at {workers} workers", a.label);
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The interned register file's cache counters are part of the replayable
