@@ -134,8 +134,9 @@ impl AdaptiveFile {
 
     /// Like [`AdaptiveFile::new`], but when the file later promotes it
     /// migrates into an [`InternedFile`](crate::InternedFile) warmed from
-    /// the given snapshot handle — a promoted adaptive file in a serve
-    /// worker then starts with the snapshot's op cache instead of cold.
+    /// the given snapshot handle, so the promoted file starts with the
+    /// snapshot's op cache instead of cold (`tangled run --store-in` on
+    /// the default backend).
     pub fn with_warm(ways: u32, constant_bank: bool, warm: Option<crate::WarmStoreId>) -> Self {
         AdaptiveFile {
             inner: Inner::Eager(Box::new(Probing::new(ways, constant_bank))),

@@ -44,6 +44,8 @@ mod telem {
     pub static CHUNKS: Counter = Counter::new("intern.chunks_interned");
     pub static STORE_WRITTEN: Counter = Counter::new("store.chunks.written");
     pub static STORE_ATTACHED: Counter = Counter::new("store.chunks.attached");
+    pub static STORE_SAVE_BYTES: Counter = Counter::new("store.save.bytes");
+    pub static STORE_LOAD_BYTES: Counter = Counter::new("store.load.bytes");
 }
 
 /// Identifier of an interned chunk in a [`ChunkStore`].
@@ -539,14 +541,105 @@ impl ChunkStore {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshots: tangled-store/v1 serialization of a ChunkStore.
+// Snapshots: the on-disk form of a ChunkStore.
 // ---------------------------------------------------------------------------
 
-/// Container kind tag of a ChunkStore snapshot.
-pub const SNAPSHOT_KIND: &str = "chunks";
+/// First 8 bytes of every snapshot.
+const SNAPSHOT_MAGIC: &[u8; 8] = b"TGLSTORE";
+
+/// Snapshot format version this build writes and reads. Version 1 was a
+/// general sectioned container; its files are rejected as
+/// [`SnapshotError::UnsupportedVersion`].
+const SNAPSHOT_VERSION: u32 = 2;
+
+/// Fixed header: magic, version, ways, chunk count, op count (`u32`s) and
+/// op capacity (`u64`).
+const HEADER_LEN: usize = 8 + 4 * 4 + 8;
 
 /// Bytes per serialized op-cache entry: kind byte plus four `u32` ids.
 const OP_ENTRY_LEN: usize = 1 + 4 * 4;
+
+/// Why a snapshot could not be saved or loaded. Every byte sequence that
+/// is not a well-formed snapshot maps to one of these, never to a panic.
+#[derive(Debug)]
+pub enum SnapshotError {
+    /// Filesystem error.
+    Io(std::io::Error),
+    /// The bytes do not start with the snapshot magic, `TGLSTORE`.
+    BadMagic,
+    /// A format version other than the one this build reads.
+    UnsupportedVersion(u32),
+    /// The bytes end before the field named here, or before the length
+    /// the header declares.
+    Truncated(&'static str),
+    /// The trailing checksum does not match the bytes before it.
+    ChecksumMismatch,
+    /// The bytes are intact but break a structural invariant.
+    Malformed(String),
+}
+
+impl fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SnapshotError::Io(e) => write!(f, "i/o error: {e}"),
+            SnapshotError::BadMagic => write!(f, "not a ChunkStore snapshot (bad magic)"),
+            SnapshotError::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported snapshot format version {v} (this build reads {SNAPSHOT_VERSION})"
+            ),
+            SnapshotError::Truncated(what) => write!(f, "truncated snapshot: {what}"),
+            SnapshotError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
+            SnapshotError::Malformed(what) => write!(f, "malformed snapshot: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for SnapshotError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SnapshotError::Io(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<std::io::Error> for SnapshotError {
+    fn from(e: std::io::Error) -> Self {
+        SnapshotError::Io(e)
+    }
+}
+
+/// 64-bit checksum: word-at-a-time multiply-rotate with a murmur-style
+/// avalanche, seeded by the length. Every step is a bijection of the
+/// state for fixed input, so any change confined to one 8-byte word (a
+/// single-bit flip included) changes the result. It catches corruption,
+/// not a crafted file.
+fn hash64(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = (bytes.len() as u64).wrapping_mul(PRIME) ^ 0x51_7c_c1_b7_27_22_0a_95;
+    let mut chunks = bytes.chunks_exact(8);
+    for w in &mut chunks {
+        h = (h.rotate_left(27) ^ le_u64(w, 0)).wrapping_mul(PRIME);
+    }
+    for &b in chunks.remainder() {
+        h = (h.rotate_left(11) ^ b as u64).wrapping_mul(PRIME);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 29;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 32)
+}
+
+/// Little-endian `u32` at `at`; the caller has checked the length.
+fn le_u32(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().expect("4 bytes"))
+}
+
+/// Little-endian `u64` at `at`; the caller has checked the length.
+fn le_u64(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"))
+}
 
 impl OpKey {
     /// `(kind, a, b, c)` wire encoding; ids unused by the key are zero.
@@ -588,116 +681,119 @@ impl OpKey {
 }
 
 impl ChunkStore {
-    /// Serialize into a `tangled-store/v1` container (kind
-    /// [`SNAPSHOT_KIND`]). Chunks are written in id order, so loading
-    /// resolves every [`ChunkId`] to the identical value; op-cache entries
-    /// are sorted, so equal stores serialize byte-identically.
+    /// Serialize as a snapshot: the header, the chunk words in id order
+    /// (so loading resolves every [`ChunkId`] to the identical value), the
+    /// op-cache entries sorted (so equal stores serialize byte-identically),
+    /// then `hash64` of every byte before it.
     pub fn to_bytes(&self) -> Vec<u8> {
-        use tangled_store::io::ByteWriter;
-
-        let mut meta = ByteWriter::new();
-        meta.put_u32(self.ways);
-        meta.put_u32(self.chunks.len() as u32);
-        meta.put_u32(self.ops.len() as u32);
-        meta.put_u64(self.op_capacity as u64);
-
         let words = Aob::words_for(self.ways);
-        let mut chunks = ByteWriter::new();
+        let mut out = Vec::with_capacity(
+            HEADER_LEN + self.chunks.len() * words * 8 + self.ops.len() * OP_ENTRY_LEN + 8,
+        );
+        out.extend_from_slice(SNAPSHOT_MAGIC);
+        for v in [SNAPSHOT_VERSION, self.ways, self.chunks.len() as u32, self.ops.len() as u32] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out.extend_from_slice(&(self.op_capacity as u64).to_le_bytes());
         for c in &self.chunks {
             debug_assert_eq!(c.words().len(), words);
             for &w in c.words() {
-                chunks.put_u64(w);
+                out.extend_from_slice(&w.to_le_bytes());
             }
         }
-
         let mut entries: Vec<[u8; OP_ENTRY_LEN]> = Vec::with_capacity(self.ops.len());
         for (&key, &result) in &self.ops {
             let (kind, a, b, c) = key.encode();
             let mut e = [0u8; OP_ENTRY_LEN];
             e[0] = kind;
-            e[1..5].copy_from_slice(&a.to_le_bytes());
-            e[5..9].copy_from_slice(&b.to_le_bytes());
-            e[9..13].copy_from_slice(&c.to_le_bytes());
-            e[13..17].copy_from_slice(&result.0.to_le_bytes());
+            for (i, id) in [a, b, c, result.0].into_iter().enumerate() {
+                e[1 + 4 * i..5 + 4 * i].copy_from_slice(&id.to_le_bytes());
+            }
             entries.push(e);
         }
         entries.sort_unstable();
-        let mut ops = ByteWriter::new();
         for e in &entries {
-            ops.put_bytes(e);
+            out.extend_from_slice(e);
         }
-
-        let mut w = tangled_store::ContainerWriter::new(SNAPSHOT_KIND);
-        w.section("meta", meta.into_bytes());
-        w.section("chunks", chunks.into_bytes());
-        w.section("ops", ops.into_bytes());
-        w.finish()
+        let sum = hash64(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
     }
 
     /// Save a snapshot to `path` (atomic replace). Returns bytes written.
-    pub fn save(&self, path: &std::path::Path) -> Result<u64, tangled_store::StoreError> {
+    pub fn save(&self, path: &std::path::Path) -> Result<u64, SnapshotError> {
         let bytes = self.to_bytes();
         let n = bytes.len() as u64;
         let tmp = path.with_extension("tmp");
         std::fs::write(&tmp, &bytes)?;
         std::fs::rename(&tmp, path)?;
-        tangled_store::container::account_save(n);
+        telem::STORE_SAVE_BYTES.add(n);
         telem::STORE_WRITTEN.add(self.chunks.len() as u64);
         Ok(n)
     }
 
-    /// Deserialize a snapshot. Every structural invariant is validated —
-    /// chunk padding, the constant-bank prefix, id bounds, key
-    /// canonicality — so hostile bytes yield a typed error, never a store
-    /// that later misbehaves.
-    pub fn from_bytes(bytes: &[u8]) -> Result<ChunkStore, tangled_store::StoreError> {
-        use tangled_store::io::Cursor;
-        use tangled_store::StoreError;
+    /// Deserialize a snapshot. The header fixes the exact length and the
+    /// checksum covers every byte, both checked before anything is
+    /// allocated; then every structural invariant is validated — chunk
+    /// padding, the constant-bank prefix, id bounds, key canonicality — so
+    /// hostile bytes yield a typed error, never a store that later
+    /// misbehaves.
+    pub fn from_bytes(bytes: &[u8]) -> Result<ChunkStore, SnapshotError> {
+        use SnapshotError::{Malformed, Truncated};
 
-        let container = tangled_store::Container::from_bytes(bytes, SNAPSHOT_KIND)?;
-        let mut meta = Cursor::new(container.section("meta")?);
-        let ways = meta.u32("snapshot ways")?;
-        let chunk_count = meta.u32("snapshot chunk count")? as usize;
-        let op_count = meta.u32("snapshot op count")? as usize;
-        let op_capacity = meta.u64("snapshot op capacity")? as usize;
+        if !bytes.starts_with(SNAPSHOT_MAGIC) {
+            return Err(SnapshotError::BadMagic);
+        }
+        if bytes.len() < HEADER_LEN {
+            return Err(Truncated("header"));
+        }
+        let version = le_u32(bytes, 8);
+        if version != SNAPSHOT_VERSION {
+            return Err(SnapshotError::UnsupportedVersion(version));
+        }
+        let ways = le_u32(bytes, 12);
+        let chunk_count = le_u32(bytes, 16) as usize;
+        let op_count = le_u32(bytes, 20) as usize;
+        let op_capacity = le_u64(bytes, 24);
         if ways > crate::bitvec::MAX_WAYS {
-            return Err(StoreError::Malformed(format!(
-                "snapshot ways {ways} exceeds the {}-way ceiling",
+            return Err(Malformed(format!(
+                "ways {ways} exceeds the {}-way ceiling",
                 crate::bitvec::MAX_WAYS
             )));
         }
+        // At most 2^32 chunks of 2^20 words: the sizes fit a u64.
+        let words = Aob::words_for(ways);
+        let chunks_len = chunk_count as u64 * words as u64 * 8;
+        let len = HEADER_LEN as u64 + chunks_len + op_count as u64 * OP_ENTRY_LEN as u64 + 8;
+        if (bytes.len() as u64) < len {
+            return Err(Truncated("the header declares more bytes than the file holds"));
+        }
+        if bytes.len() as u64 > len {
+            return Err(Malformed(format!("{} bytes past the checksum", bytes.len() as u64 - len)));
+        }
+        let (body, sum) = bytes.split_at(bytes.len() - 8);
+        if hash64(body) != le_u64(sum, 0) {
+            return Err(SnapshotError::ChecksumMismatch);
+        }
         let bank = ways as usize + 2;
         if chunk_count < bank {
-            return Err(StoreError::Malformed(format!(
-                "snapshot holds {chunk_count} chunks, fewer than the {bank}-entry constant bank"
+            return Err(Malformed(format!(
+                "{chunk_count} chunks, fewer than the {bank}-entry constant bank"
             )));
         }
-
-        let words = Aob::words_for(ways);
-        let chunk_bytes = container.section("chunks")?;
-        let expect = chunk_count
-            .checked_mul(words)
-            .and_then(|n| n.checked_mul(8))
-            .ok_or_else(|| StoreError::Malformed("chunk section size overflows".to_string()))?;
-        if chunk_bytes.len() != expect {
-            return Err(StoreError::Malformed(format!(
-                "chunk section is {} bytes, expected {expect} ({chunk_count} chunks x {words} words)",
-                chunk_bytes.len()
-            )));
-        }
+        let (chunk_bytes, op_bytes) = body[HEADER_LEN..].split_at(chunks_len as usize);
 
         let mut s = ChunkStore::new(ways);
-        s.op_capacity = op_capacity.max(1);
-        let mut c = Cursor::new(chunk_bytes);
-        for id in 0..chunk_count {
+        s.op_capacity = (op_capacity as usize).max(1);
+        for (id, raw) in chunk_bytes.chunks_exact(words * 8).enumerate() {
             let mut v = Aob::zeros(ways);
-            for w in v.words_mut() {
-                *w = c.u64("chunk words")?;
+            for (i, w) in v.words_mut().iter_mut().enumerate() {
+                *w = le_u64(raw, 8 * i);
             }
             let tail = *v.words().last().expect("chunks have at least one word");
             v.normalize();
             if *v.words().last().expect("chunks have at least one word") != tail {
-                return Err(StoreError::Malformed(format!(
+                return Err(Malformed(format!(
                     "chunk {id} carries set padding bits beyond 2^{ways} channels"
                 )));
             }
@@ -706,51 +802,34 @@ impl ChunkStore {
             // onto the canonical ids, and every later chunk must be fresh.
             let got = s.intern(v);
             if got.0 as usize != id {
-                return Err(StoreError::Malformed(format!(
+                return Err(Malformed(format!(
                     "chunk {id} violates content addressing (resolves to {got:?}; duplicate or out-of-order constant bank)"
                 )));
             }
         }
 
-        let op_bytes = container.section("ops")?;
-        if op_bytes.len() != op_count * OP_ENTRY_LEN {
-            return Err(StoreError::Malformed(format!(
-                "op section is {} bytes, expected {op_count} x {OP_ENTRY_LEN}",
-                op_bytes.len()
-            )));
-        }
-        let mut c = Cursor::new(op_bytes);
-        for i in 0..op_count {
-            let kind = c.u8("op kind")?;
-            let a = c.u32("op id a")?;
-            let b = c.u32("op id b")?;
-            let cc = c.u32("op id c")?;
-            let result = c.u32("op result id")?;
-            let key = OpKey::decode(kind, a, b, cc).ok_or_else(|| {
-                StoreError::Malformed(format!("op entry {i} has unknown kind {kind}"))
-            })?;
-            let max = chunk_count as u32;
-            if a >= max || b >= max || cc >= max || result >= max {
-                return Err(StoreError::Malformed(format!(
+        for (i, e) in op_bytes.chunks_exact(OP_ENTRY_LEN).enumerate() {
+            let [a, b, c, result] = [0, 1, 2, 3].map(|k| le_u32(e, 1 + 4 * k));
+            let key = OpKey::decode(e[0], a, b, c)
+                .ok_or_else(|| Malformed(format!("op entry {i} has unknown kind {}", e[0])))?;
+            if [a, b, c, result].iter().any(|&id| id as usize >= chunk_count) {
+                return Err(Malformed(format!(
                     "op entry {i} references chunk id beyond {chunk_count}"
                 )));
             }
             if !key.is_canonical() {
-                return Err(StoreError::Malformed(format!(
-                    "op entry {i} has non-canonical operand order"
-                )));
+                return Err(Malformed(format!("op entry {i} has non-canonical operand order")));
             }
             s.ops.insert(key, ChunkId(result));
         }
         s.reset_stats();
+        telem::STORE_LOAD_BYTES.add(bytes.len() as u64);
         Ok(s)
     }
 
-    /// Load a snapshot from `path`. (`store.load.bytes` is accounted by
-    /// the container parse.)
-    pub fn load(path: &std::path::Path) -> Result<ChunkStore, tangled_store::StoreError> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes)
+    /// Load a snapshot from `path`.
+    pub fn load(path: &std::path::Path) -> Result<ChunkStore, SnapshotError> {
+        Self::from_bytes(&std::fs::read(path)?)
     }
 
     /// Account a warm attach of this store's chunks (telemetry mirror of
@@ -908,6 +987,23 @@ mod tests {
         let mut s4 = ChunkStore::new(4);
         // Bits beyond 2^4 are masked off before interning.
         assert_eq!(s4.intern_word(0xFFFF_0000), ID_ZERO);
+    }
+
+    #[test]
+    fn hash64_discriminates() {
+        assert_ne!(hash64(b""), hash64(&[0]));
+        assert_ne!(hash64(&[0; 8]), hash64(&[0; 9]));
+        assert_ne!(hash64(b"abcdefgh"), hash64(b"abcdefgi"));
+        // Single-bit flips anywhere move the hash.
+        let base = vec![0xA5u8; 37];
+        let h0 = hash64(&base);
+        for byte in 0..base.len() {
+            for bit in 0..8 {
+                let mut m = base.clone();
+                m[byte] ^= 1 << bit;
+                assert_ne!(hash64(&m), h0, "flip at {byte}.{bit} undetected");
+            }
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod warm;
 pub use adaptive::AdaptiveFile;
 pub use bitvec::{Aob, MAX_WAYS};
 pub use energy::{EnergyMeter, EnergyModel};
-pub use intern::{ChunkId, ChunkStore, GateOp, InternStats, ID_ONE, ID_ZERO};
+pub use intern::{ChunkId, ChunkStore, GateOp, InternStats, SnapshotError, ID_ONE, ID_ZERO};
 pub use warm::WarmStoreId;
 pub use storage::{
     AdaptiveStats, AobStorage, ConstKind, EagerFile, GateAction, InternedFile, PackedStats,

@@ -2,110 +2,54 @@
 //!
 //! A loaded snapshot is registered once and handed around as a copyable
 //! [`WarmStoreId`] — the handle threads through `QatConfig` (which must
-//! stay `Copy`) and job queues without dragging an `Arc` into every
-//! config. Attaching clones the store *structure* (id vector, hash
-//! table, op cache) while sharing every chunk payload `Arc` with the
-//! registered snapshot — the software rendering of an mmap'd read-only
-//! segment: N `tangled-serve` workers hold one copy of the chunk bytes.
+//! stay `Copy`) without dragging an `Arc` into every config. Attaching
+//! clones the store *structure* (id vector, hash table, op cache) while
+//! sharing every chunk payload `Arc` with the registered snapshot — the
+//! software rendering of an mmap'd read-only segment.
 //!
-//! Two lookup paths:
-//!
-//! * explicit — a [`WarmStoreId`] carried by the config (CLI `--store-in`);
-//! * ambient — a process default installed by `tangled serve
-//!   --warm-store`, consulted by backends whose configs carry no explicit
-//!   id (worker pools construct configs deep inside job replay, where
-//!   threading a handle through every frame would touch every client).
-//!
-//! Either way the attach is degree-checked: a snapshot only ever warms a
-//! file of the same `ways`, so a mismatched default silently stays cold
-//! rather than corrupting semantics.
+//! The handle is the only way in: a file built without one starts cold
+//! and never touches the registry. The attach is degree-checked, so a
+//! snapshot only ever warms a file of its own `ways`; the CLI rejects a
+//! mismatch before it builds the file.
 
-use crate::intern::ChunkStore;
-use std::sync::{Arc, Mutex, OnceLock};
+use crate::intern::{ChunkStore, SnapshotError};
+use std::sync::{Arc, Mutex};
 
 /// Copyable handle to a registered warm snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WarmStoreId(u32);
 
-struct Registry {
-    stores: Vec<Arc<ChunkStore>>,
-    /// Ambient defaults, newest first; at most one per degree.
-    defaults: Vec<(u32, WarmStoreId)>,
-}
-
-fn registry() -> &'static Mutex<Registry> {
-    static REG: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(Registry { stores: Vec::new(), defaults: Vec::new() }))
-}
+static REGISTRY: Mutex<Vec<Arc<ChunkStore>>> = Mutex::new(Vec::new());
 
 /// Register a warm store and get its process-wide handle.
 pub fn register(store: ChunkStore) -> WarmStoreId {
-    let mut reg = registry().lock().expect("warm-store registry poisoned");
-    let id = WarmStoreId(reg.stores.len() as u32);
-    reg.stores.push(Arc::new(store));
+    let mut reg = REGISTRY.lock().expect("warm registry poisoned");
+    let id = WarmStoreId(reg.len() as u32);
+    reg.push(Arc::new(store));
     id
 }
 
 /// Load a snapshot from disk and register it. Returns the handle and the
 /// snapshot's entanglement degree.
-pub fn load(path: &std::path::Path) -> Result<(WarmStoreId, u32), tangled_store::StoreError> {
+pub fn load(path: &std::path::Path) -> Result<(WarmStoreId, u32), SnapshotError> {
     let store = ChunkStore::load(path)?;
     let ways = store.ways();
     Ok((register(store), ways))
 }
 
-/// The shared snapshot behind a handle (`None` for a stale/foreign id).
-pub fn get(id: WarmStoreId) -> Option<Arc<ChunkStore>> {
-    let reg = registry().lock().expect("warm-store registry poisoned");
-    reg.stores.get(id.0 as usize).cloned()
+/// The shared snapshot behind a handle.
+fn get(id: WarmStoreId) -> Option<Arc<ChunkStore>> {
+    REGISTRY.lock().expect("warm registry poisoned").get(id.0 as usize).cloned()
 }
 
-/// Entanglement degree of a registered snapshot.
-pub fn ways(id: WarmStoreId) -> Option<u32> {
-    get(id).map(|s| s.ways())
-}
-
-/// Install `id` as the ambient default for its degree (replacing any
-/// previous default of the same degree).
-pub fn install_default(id: WarmStoreId) {
-    let Some(store) = get(id) else { return };
-    let degree = store.ways();
-    let mut reg = registry().lock().expect("warm-store registry poisoned");
-    reg.defaults.retain(|&(w, _)| w != degree);
-    reg.defaults.push((degree, id));
-}
-
-/// Remove the ambient default for `degree` (tests, mode switches).
-pub fn clear_default(degree: u32) {
-    let mut reg = registry().lock().expect("warm-store registry poisoned");
-    reg.defaults.retain(|&(w, _)| w != degree);
-}
-
-/// The ambient default for `degree`, if one is installed.
-pub fn default_for(degree: u32) -> Option<WarmStoreId> {
-    let reg = registry().lock().expect("warm-store registry poisoned");
-    reg.defaults.iter().find(|&&(w, _)| w == degree).map(|&(_, id)| id)
-}
-
-/// Resolve the snapshot a backend of `degree` ways should warm from:
-/// the explicit handle when it matches, else the ambient default.
-/// Mismatched degrees resolve to `None` (cold start), never to a
-/// wrong-degree store.
-pub fn resolve(explicit: Option<WarmStoreId>, degree: u32) -> Option<Arc<ChunkStore>> {
-    explicit
-        .or_else(|| default_for(degree))
-        .and_then(get)
-        .filter(|s| s.ways() == degree)
-}
-
-/// Resolve **and adopt**: clone the matching snapshot (sharing every
-/// chunk payload `Arc` with the registry) and account the attach under
-/// `store.chunks.attached`. `None` means cold start.
-pub fn attach(explicit: Option<WarmStoreId>, degree: u32) -> Option<ChunkStore> {
-    resolve(explicit, degree).map(|shared| {
-        shared.note_attached();
-        (*shared).clone()
-    })
+/// Adopt the snapshot behind `warm` for a file of `degree` ways: a clone
+/// that shares every chunk payload `Arc` with the registry, accounted
+/// under `store.chunks.attached`. `None` (a cold start) without a handle
+/// or when the snapshot is of another degree.
+pub fn attach(warm: Option<WarmStoreId>, degree: u32) -> Option<ChunkStore> {
+    let shared = get(warm?).filter(|s| s.ways() == degree)?;
+    shared.note_attached();
+    Some((*shared).clone())
 }
 
 #[cfg(test)]
@@ -114,21 +58,15 @@ mod tests {
     use crate::Aob;
 
     #[test]
-    fn register_resolve_and_default() {
+    fn explicit_handle_attaches_only_at_its_degree() {
         let mut s = ChunkStore::new(5);
         let extra = s.intern(Aob::from_fn(5, |e| e % 3 == 0));
         let id = register(s);
-        assert_eq!(ways(id), Some(5));
-        let shared = resolve(Some(id), 5).expect("explicit resolve");
-        assert_eq!(shared.aob(extra), &Aob::from_fn(5, |e| e % 3 == 0));
-        // Degree mismatch stays cold.
-        assert!(resolve(Some(id), 6).is_none());
-        // Ambient default kicks in when no explicit handle is given.
-        assert!(resolve(None, 5).is_none() || default_for(5).is_some());
-        install_default(id);
-        assert!(resolve(None, 5).is_some());
-        clear_default(5);
-        assert_eq!(default_for(5), None);
+        let warm = attach(Some(id), 5).expect("explicit attach");
+        assert_eq!(warm.aob(extra), &Aob::from_fn(5, |e| e % 3 == 0));
+        // Degree mismatch stays cold, and so does a file with no handle.
+        assert!(attach(Some(id), 6).is_none());
+        assert!(attach(None, 5).is_none());
     }
 
     #[test]
@@ -136,8 +74,8 @@ mod tests {
         let mut s = ChunkStore::new(4);
         let a = s.intern(Aob::from_fn(4, |e| e & 1 == 1));
         let id = register(s);
-        let warm = resolve(Some(id), 4).unwrap();
-        let attached = (*warm).clone();
-        assert!(Arc::ptr_eq(warm.arc(a), attached.arc(a)), "payloads are shared, not copied");
+        let attached = attach(Some(id), 4).unwrap();
+        let shared = get(id).unwrap();
+        assert!(Arc::ptr_eq(shared.arc(a), attached.arc(a)), "payloads are shared, not copied");
     }
 }

@@ -94,26 +94,12 @@ impl PbpContext {
     /// canonical zero/one symbols are already the *masked* constants and
     /// no measurement can observe padding.
     pub fn try_new(universe_ways: u32) -> Result<Self, WaysError> {
-        Self::try_new_warm(universe_ways, None)
-    }
-
-    /// Like [`PbpContext::try_new`], but adopting a registered warm
-    /// snapshot (see [`pbp_aob::warm`]) when its degree matches the
-    /// context's sub-chunk symbol degree — the RE layer then starts with
-    /// the snapshot's interned symbols and memoized symbol ops. A
-    /// mismatched or absent snapshot falls back to a cold store.
-    pub fn try_new_warm(
-        universe_ways: u32,
-        warm: Option<pbp_aob::WarmStoreId>,
-    ) -> Result<Self, WaysError> {
         WaysError::check(universe_ways, MIN_UNIVERSE_WAYS, MAX_UNIVERSE_WAYS)?;
         // The store pre-interns the constant bank [0, 1, H(0)..], so
         // SYM_ZERO / SYM_ONE are its canonical first two ids. Sub-chunk
         // universes get a store at their own degree, which keeps every
         // symbol masked to the live channels.
-        let degree = universe_ways.min(CHUNK_WAYS);
-        let store =
-            pbp_aob::warm::attach(warm, degree).unwrap_or_else(|| ChunkStore::new(degree));
+        let store = ChunkStore::new(universe_ways.min(CHUNK_WAYS));
         Ok(PbpContext { universe_ways, store, next_dim: 0 })
     }
 

@@ -23,7 +23,7 @@ use std::cell::Cell;
 use pbp_aob::storage::{
     AobStorage, ConstKind, GateAction, PackedStats, StorageBackend, WriteDelta,
 };
-use pbp_aob::{Aob, ChunkStore, GateOp, InternStats, WaysError};
+use pbp_aob::{Aob, GateOp, InternStats, WaysError};
 use tangled_telemetry::Counter;
 
 use crate::{PbpContext, Re};
@@ -57,19 +57,8 @@ impl SparseReFile {
     /// All registers zero, or preloaded with the §5 constant bank; a
     /// typed [`WaysError`] outside `MIN_WAYS..=MAX_WAYS`.
     pub fn try_new(ways: u32, constant_bank: bool) -> Result<Self, WaysError> {
-        Self::try_new_warm(ways, constant_bank, None)
-    }
-
-    /// Like [`SparseReFile::try_new`], but adopting a registered warm
-    /// snapshot for the context's sub-chunk symbol degree (snapshots of
-    /// other degrees stay cold — the attach is degree-checked).
-    pub fn try_new_warm(
-        ways: u32,
-        constant_bank: bool,
-        warm: Option<pbp_aob::WarmStoreId>,
-    ) -> Result<Self, WaysError> {
         WaysError::check(ways, Self::MIN_WAYS, Self::MAX_WAYS)?;
-        let mut ctx = PbpContext::try_new_warm(ways, warm)?;
+        let mut ctx = PbpContext::try_new(ways)?;
         let zero = ctx.constant(false);
         let mut regs = vec![zero; pbp_aob::storage::REG_COUNT];
         if constant_bank {
@@ -79,12 +68,6 @@ impl SparseReFile {
             }
         }
         Ok(SparseReFile { ctx, regs, materializations: Cell::new(0) })
-    }
-
-    /// Panicking convenience wrapper around [`SparseReFile::try_new_warm`].
-    pub fn warmed(ways: u32, constant_bank: bool, warm: Option<pbp_aob::WarmStoreId>) -> Self {
-        Self::try_new_warm(ways, constant_bank, warm)
-            .unwrap_or_else(|e| panic!("sparse-re backend: {e}"))
     }
 
     /// The RE symbol currently held by register `r` (no materialization).
@@ -209,10 +192,6 @@ impl AobStorage for SparseReFile {
 
     fn intern_stats(&self) -> Option<InternStats> {
         Some(self.ctx.intern_stats())
-    }
-
-    fn chunk_store(&self) -> Option<&ChunkStore> {
-        None
     }
 
     fn packed_stats(&self) -> Option<PackedStats> {

@@ -1,14 +1,12 @@
-//! Property tests for `tangled-store/v1` ChunkStore snapshots: a
-//! save→load round trip must be *observably equivalent* — the same
-//! chunk patterns resolve to the same [`pbp_aob::ChunkId`]s, and a
-//! replay of the memoized gate ops answers entirely from the loaded op
-//! cache (zero fresh kernel compiles) — while any truncated or
-//! bit-flipped container fails with a typed [`tangled_store::StoreError`]
-//! instead of a panic or a silently wrong store.
+//! Property tests for ChunkStore snapshots: a save→load round trip must
+//! be *observably equivalent* — the same chunk patterns resolve to the
+//! same [`pbp_aob::ChunkId`]s, and a replay of the memoized gate ops
+//! answers entirely from the loaded op cache (zero fresh kernel
+//! compiles) — while any truncated or bit-flipped snapshot fails with a
+//! typed [`SnapshotError`] instead of a panic or a silently wrong store.
 
-use pbp_aob::{ChunkStore, GateOp};
+use pbp_aob::{ChunkStore, GateOp, SnapshotError};
 use proptest::prelude::*;
-use tangled_store::StoreError;
 
 /// A random interning workload at a sub-chunk degree: words to intern
 /// plus memoized ops over whatever got interned.
@@ -84,55 +82,56 @@ proptest! {
         prop_assert_eq!(loaded.to_bytes(), bytes);
     }
 
-    /// Every truncation of a valid snapshot fails with a typed error.
+    /// Every truncation of a valid snapshot fails with a typed error: the
+    /// header fixes the length, so a cut is never read as a shorter store.
     #[test]
-    fn truncation_is_a_typed_error(w in workload(), cut_sel in any::<u64>()) {
+    fn every_truncation_is_a_typed_error(w in workload()) {
         let (orig, _, _) = build(&w);
         let bytes = orig.to_bytes();
-        let cut = (cut_sel % bytes.len() as u64) as usize;
-        match ChunkStore::from_bytes(&bytes[..cut]) {
-            Err(
-                StoreError::BadMagic
-                | StoreError::Truncated(_)
-                | StoreError::ChecksumMismatch { .. }
-                | StoreError::MissingSection(_),
-            ) => {}
-            Err(e) => prop_assert!(false, "unexpected error class at cut {cut}: {e}"),
-            Ok(_) => prop_assert!(false, "truncation to {cut} bytes loaded"),
+        for cut in 0..bytes.len() {
+            match ChunkStore::from_bytes(&bytes[..cut]) {
+                Err(SnapshotError::BadMagic | SnapshotError::Truncated(_)) => {}
+                Err(e) => prop_assert!(false, "unexpected error class at cut {cut}: {e}"),
+                Ok(_) => prop_assert!(false, "truncation to {cut} bytes loaded"),
+            }
         }
     }
 
-    /// Every single-bit flip is either detected with a typed error or —
-    /// never — silently accepted as a different store. (Flips in section
-    /// padding can't exist: the container has none.)
+    /// Every single-bit flip is a typed error: the magic, version and
+    /// lengths are checked, and the trailing checksum covers every other
+    /// byte.
     #[test]
-    fn bit_flips_are_typed_errors(w in workload(), pos in any::<u64>(), bit in 0u8..8) {
+    fn every_bit_flip_is_a_typed_error(w in workload()) {
         let (orig, _, _) = build(&w);
-        let mut bytes = orig.to_bytes();
-        let i = (pos % bytes.len() as u64) as usize;
-        bytes[i] ^= 1 << bit;
-        match ChunkStore::from_bytes(&bytes) {
-            Err(_) => {} // every StoreError variant is acceptable; a panic is not
-            Ok(loaded) => {
-                // The only survivable flips would reproduce the identical
-                // observable store (impossible for a real flip, but keep
-                // the property falsifiable rather than assuming).
-                prop_assert_eq!(loaded.to_bytes(), orig.to_bytes(),
-                    "bit flip at byte {} bit {} loaded as a different store", i, bit);
+        let bytes = orig.to_bytes();
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 1 << bit;
+                prop_assert!(
+                    ChunkStore::from_bytes(&flipped).is_err(),
+                    "bit flip at byte {} bit {} loaded", i, bit
+                );
             }
         }
     }
 }
 
-/// Loading another kind of container as a chunk snapshot is a kind
-/// mismatch, not a parse attempt.
+/// The retired sectioned layout (version 1, same magic) and foreign bytes
+/// are typed errors, not parse attempts.
 #[test]
-fn wrong_kind_is_typed() {
-    let path = std::env::temp_dir().join(format!("pbp-store-kind-{}.tgls", std::process::id()));
-    tangled_store::ContainerWriter::new("other").write(&path).unwrap();
-    assert!(matches!(
-        ChunkStore::load(&path),
-        Err(StoreError::WrongKind { .. })
-    ));
+fn retired_layout_and_foreign_bytes_are_typed() {
+    let mut v1 = b"TGLSTORE".to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(b"chunks\0\0");
+    v1.extend_from_slice(&[0; 64]);
+    assert!(matches!(ChunkStore::from_bytes(&v1), Err(SnapshotError::UnsupportedVersion(1))));
+    for foreign in [&b""[..], b"TGLSTOR", b"\x7fELF\x02\x01\x01\0 and then some bytes"] {
+        assert!(matches!(ChunkStore::from_bytes(foreign), Err(SnapshotError::BadMagic)));
+    }
+    let path = std::env::temp_dir().join(format!("pbp-store-v1-{}.tgls", std::process::id()));
+    std::fs::write(&path, &v1).unwrap();
+    assert!(matches!(ChunkStore::load(&path), Err(SnapshotError::UnsupportedVersion(1))));
     let _ = std::fs::remove_file(&path);
+    assert!(matches!(ChunkStore::load(&path), Err(SnapshotError::Io(_))));
 }

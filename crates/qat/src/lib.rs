@@ -102,12 +102,11 @@ pub struct QatConfig {
     /// the CLIs and the differential oracle's `DiffConfig` copy it.
     pub backend: StorageBackend,
     /// Warm ChunkStore snapshot to attach the register file to (see
-    /// [`pbp_aob::warm`]): interning backends start with the snapshot's
-    /// chunks and memoized op cache instead of cold. `None` consults the
-    /// process-wide ambient default (installed by `tangled serve
-    /// --warm-store`), which also only attaches on a degree match.
-    /// Semantically invisible either way — a warm cache changes what is
-    /// *recomputed*, never what a gate produces.
+    /// [`pbp_aob::warm`]): the interned file, and the adaptive file when it
+    /// promotes, start from the snapshot's chunks and memoized op cache
+    /// when its degree matches `ways`. `None` is a cold start. Semantically
+    /// invisible either way — a warm cache changes what is *recomputed*,
+    /// never what a gate produces.
     pub warm: Option<pbp_aob::WarmStoreId>,
 }
 
@@ -235,7 +234,7 @@ static BACKENDS: [BackendEntry; 4] = [
         min_ways: pbp::SparseReFile::MIN_WAYS,
         max_ways: pbp::SparseReFile::MAX_WAYS,
         oracle_name: "qat-sparse-re",
-        build: |cfg| Box::new(pbp::SparseReFile::warmed(cfg.ways, cfg.constant_registers, cfg.warm)),
+        build: |cfg| Box::new(sparse_re(cfg)),
     },
     BackendEntry {
         backend: StorageBackend::Adaptive,
@@ -251,15 +250,17 @@ static BACKENDS: [BackendEntry; 4] = [
             if cfg.ways <= pbp_aob::HW_MAX_WAYS {
                 Box::new(AdaptiveFile::with_warm(cfg.ways, cfg.constant_registers, cfg.warm))
             } else {
-                Box::new(AdaptiveFile::pinned(Box::new(pbp::SparseReFile::warmed(
-                    cfg.ways,
-                    cfg.constant_registers,
-                    cfg.warm,
-                ))))
+                Box::new(AdaptiveFile::pinned(Box::new(sparse_re(cfg))))
             }
         },
     },
 ];
+
+/// A sparse-re file for `cfg`, whose ways `try_build` has already checked.
+fn sparse_re(cfg: &QatConfig) -> pbp::SparseReFile {
+    pbp::SparseReFile::try_new(cfg.ways, cfg.constant_registers)
+        .expect("try_build checks the ways range first")
+}
 
 /// Every register-file backend, in canonical order.
 pub fn backend_registry() -> &'static [BackendEntry] {
@@ -385,7 +386,8 @@ impl QatCoprocessor {
     }
 
     /// The shared chunk store backing the register file (`None` unless
-    /// the backend is `interned`).
+    /// the file interns: the `interned` backend, or an `adaptive` file
+    /// that promoted).
     pub fn store(&self) -> Option<&ChunkStore> {
         self.file.chunk_store()
     }

@@ -17,8 +17,10 @@
 //!     --metrics-out F   write tangled-metrics/v2 JSON (implies --telemetry)
 //!     --trace-out F     write Chrome trace_event JSON (implies full tracing;
 //!                       load in chrome://tracing or https://ui.perfetto.dev)
-//!     --store-in F      warm the Qat register file from a ChunkStore
-//!                       snapshot (tangled-store/v1, kind `chunks`)
+//!     --store-in F      warm the interned register file from a ChunkStore
+//!                       snapshot of the same degree (`--qat-backend
+//!                       interned`, or adaptive up to 16 ways, which
+//!                       attaches it when it promotes)
 //!     --store-out F     save the run's interned ChunkStore as a snapshot
 //!                       (`--qat-backend interned`, or an adaptive run that
 //!                       promoted)
@@ -35,10 +37,6 @@
 //!                       summary line
 //!     --crash-dir D     write crash-<jobid>.json post-mortem bundles into D
 //!                       when a job panics
-//!     --warm-store F    attach a ChunkStore snapshot read-only and install
-//!                       it as the ambient warm default: every worker warms
-//!                       its matching-degree register files from one shared
-//!                       copy of the chunk payloads
 //! tangled metrics diff <baseline> <current> [opts]   perf-regression gate
 //!     --threshold F     default allowed relative change (default 0.05)
 //!     --key-threshold P=F  override threshold for keys with prefix P
@@ -60,29 +58,35 @@
 //!     l           disassemble around PC
 //!     quit
 //! ```
+//!
+//! An option error (unknown option, missing or unparsable value, `--ways`
+//! or `--workers` out of range, unknown `--qat-backend` or `--model`)
+//! exits 2, as in `qat-fuzz`; an error found while running exits 1.
 
 use std::process::ExitCode;
 
+use tangled_qat::aob::WarmStoreId;
+use tangled_qat::bench::diff::DiffOptions;
 use tangled_qat::gatec::factor::compile_factoring;
 use tangled_qat::gatec::Compiler;
 use tangled_qat::qat::{self, QatConfig, StorageBackend};
 use tangled_qat::runner;
 use tangled_qat::sim::{
-    trace, Machine, MachineConfig, ModelRole, PipelineConfig, PipelinedSim, StageCount,
+    trace, Machine, MachineConfig, ModelEntry, ModelRole, PipelineConfig, PipelinedSim, StageCount,
 };
 use tangled_qat::telemetry::{self, export};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: tangled <asm|dis|run> <prog.s> [options]\n       tangled serve <prog.s>... [--workers N] [--model NAME] [--warm-store F]\n       tangled factor <n> [--width W]\n       tangled backends\n(see `src/bin/tangled.rs` docs for options)"
+        "usage: tangled <asm|dis|run> <prog.s> [options]\n       tangled serve <prog.s>... [--workers N] [--model NAME]\n       tangled factor <n> [--width W]\n       tangled backends\n(see `src/bin/tangled.rs` docs for options)"
     );
     ExitCode::from(2)
 }
 
 struct RunOpts {
     ways: u32,
-    /// Engine-registry model name (`--model`).
-    model: String,
+    /// Engine-registry model (`--model`).
+    model: &'static ModelEntry,
     qat_backend: StorageBackend,
     trace: bool,
     regs: bool,
@@ -94,61 +98,67 @@ struct RunOpts {
     store_out: Option<String>,
 }
 
-impl Default for RunOpts {
-    fn default() -> Self {
-        RunOpts {
-            ways: 16,
-            model: "pipeline-4-fw".to_string(),
-            qat_backend: QatConfig::paper().backend,
-            trace: false,
-            regs: false,
-            macros: false,
-            telemetry: false,
-            metrics_out: None,
-            trace_out: None,
-            store_in: None,
-            store_out: None,
-        }
+/// The value after option `flag`, parsed.
+fn value<T: std::str::FromStr>(it: &mut std::slice::Iter<String>, flag: &str) -> Result<T, String> {
+    let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("{flag}: `{v}` is not a number"))
+}
+
+/// Which of the value-less options `known` are set in `args`; any other
+/// argument is an unknown option.
+fn switches<const N: usize>(args: &[String], known: [&str; N]) -> Result<[bool; N], String> {
+    let mut set = [false; N];
+    for a in args {
+        let i = known.iter().position(|k| k == a).ok_or_else(|| format!("unknown option `{a}`"))?;
+        set[i] = true;
     }
+    Ok(set)
+}
+
+/// The registry model named by `--model`.
+fn model_named(name: &str) -> Result<&'static ModelEntry, String> {
+    tangled_qat::sim::model(name)
+        .ok_or_else(|| format!("unknown model `{name}` (see `tangled backends`)"))
+}
+
+/// The Qat backend named by `--qat-backend`.
+fn backend_named(name: &str) -> Result<StorageBackend, String> {
+    StorageBackend::parse(name)
+        .ok_or_else(|| format!("unknown Qat backend `{name}` (see `tangled backends`)"))
 }
 
 fn parse_opts(args: &[String]) -> Result<RunOpts, String> {
-    let mut o = RunOpts::default();
+    let mut o = RunOpts {
+        ways: 16,
+        model: model_named("pipeline-4-fw")?,
+        qat_backend: QatConfig::paper().backend,
+        trace: false,
+        regs: false,
+        macros: false,
+        telemetry: false,
+        metrics_out: None,
+        trace_out: None,
+        store_in: None,
+        store_out: None,
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--ways" => {
-                o.ways = it
-                    .next()
-                    .ok_or("--ways needs a value")?
-                    .parse()
-                    .map_err(|_| "--ways: not a number")?;
-            }
-            "--model" => o.model = it.next().ok_or("--model needs a value")?.clone(),
-            "--qat-backend" => {
-                let b = it.next().ok_or("--qat-backend needs a value")?;
-                o.qat_backend = StorageBackend::parse(b)
-                    .ok_or_else(|| format!("unknown Qat backend `{b}` (see `tangled backends`)"))?;
-            }
+            "--ways" => o.ways = value(&mut it, a)?,
+            "--model" => o.model = model_named(&value::<String>(&mut it, a)?)?,
+            "--qat-backend" => o.qat_backend = backend_named(&value::<String>(&mut it, a)?)?,
             "--trace" => o.trace = true,
             "--regs" => o.regs = true,
             "--macros" => o.macros = true,
             "--telemetry" => o.telemetry = true,
-            "--metrics-out" => {
-                o.metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?.clone());
-            }
-            "--trace-out" => {
-                o.trace_out = Some(it.next().ok_or("--trace-out needs a path")?.clone());
-            }
-            "--store-in" => {
-                o.store_in = Some(it.next().ok_or("--store-in needs a path")?.clone());
-            }
-            "--store-out" => {
-                o.store_out = Some(it.next().ok_or("--store-out needs a path")?.clone());
-            }
+            "--metrics-out" => o.metrics_out = Some(value(&mut it, a)?),
+            "--trace-out" => o.trace_out = Some(value(&mut it, a)?),
+            "--store-in" => o.store_in = Some(value(&mut it, a)?),
+            "--store-out" => o.store_out = Some(value(&mut it, a)?),
             other => return Err(format!("unknown option `{other}`")),
         }
     }
+    runner::check_ways(o.qat_backend, o.ways, false)?;
     Ok(o)
 }
 
@@ -163,24 +173,38 @@ fn pipeline_threads(cfg: Option<PipelineConfig>) -> Vec<(u32, &'static str)> {
 
 /// The entanglement degree backend `b` interns chunks at for a `--ways w`
 /// run — what a warm snapshot must match. `None`: the backend keeps no
-/// chunk store at all.
+/// chunk store a snapshot can warm (eager, sparse-re, and adaptive past
+/// the hardware window, where it pins sparse-re).
 fn intern_degree(b: StorageBackend, w: u32) -> Option<u32> {
     match b {
-        StorageBackend::Eager => None,
-        StorageBackend::SparseRe => Some(w.min(tangled_qat::pbp::CHUNK_WAYS)),
-        StorageBackend::Adaptive if w > tangled_qat::aob::HW_MAX_WAYS => {
-            Some(w.min(tangled_qat::pbp::CHUNK_WAYS))
-        }
-        _ => Some(w), // interned; adaptive within the hardware window
+        StorageBackend::Interned => Some(w),
+        StorageBackend::Adaptive if w <= tangled_qat::aob::HW_MAX_WAYS => Some(w),
+        _ => None,
     }
+}
+
+/// Load and register the `--store-in` snapshot at `path` for a run of
+/// backend `b` at `ways`. An error unless that file interns at the
+/// snapshot's degree: the library attach would otherwise stay cold
+/// without a word.
+fn load_warm(path: &str, b: StorageBackend, ways: u32) -> Result<WarmStoreId, String> {
+    let Some(degree) = intern_degree(b, ways) else {
+        return Err(format!(
+            "--store-in {path}: backend `{b}` at --ways {ways} keeps no chunk store to warm"
+        ));
+    };
+    let (id, snap_ways) = tangled_qat::aob::warm::load(std::path::Path::new(path))
+        .map_err(|e| format!("--store-in {path}: {e}"))?;
+    if snap_ways != degree {
+        return Err(format!(
+            "--store-in {path}: snapshot is {snap_ways}-way but this run interns at {degree}-way"
+        ));
+    }
+    Ok(id)
 }
 
 fn cmd_run(path: &str, o: RunOpts) -> Result<(), String> {
     let words = runner::load_words(path, o.macros)?;
-    let entry = tangled_qat::sim::model(&o.model)
-        .ok_or_else(|| format!("unknown model `{}` (see `tangled backends`)", o.model))?;
-    runner::check_ways(o.qat_backend, o.ways, false)?;
-    let be = qat::backend_entry(o.qat_backend);
     let mode = if o.trace_out.is_some() {
         telemetry::Mode::Trace
     } else if o.telemetry || o.metrics_out.is_some() {
@@ -190,31 +214,9 @@ fn cmd_run(path: &str, o: RunOpts) -> Result<(), String> {
     };
     telemetry::set_mode(mode);
     let base = telemetry::Snapshot::take();
-    // Warm start: register the snapshot and hand its copyable handle to
-    // the Qat config. The attach itself is degree-checked (a mismatch
-    // silently stays cold), so surface mismatches loudly here instead.
     // Loaded after the telemetry baseline so `store.load.*` and the
     // attach counters land in the exported delta.
-    let mut warm = None;
-    if let Some(sp) = &o.store_in {
-        let (id, snap_ways) = tangled_qat::aob::warm::load(std::path::Path::new(sp))
-            .map_err(|e| format!("--store-in {sp}: {e}"))?;
-        match intern_degree(o.qat_backend, o.ways) {
-            Some(d) if d == snap_ways => warm = Some(id),
-            Some(d) => {
-                return Err(format!(
-                    "--store-in {sp}: snapshot is {snap_ways}-way but backend `{}` at --ways {} interns at {d}-way (the snapshot would stay cold)",
-                    be.backend, o.ways
-                ));
-            }
-            None => {
-                return Err(format!(
-                    "--store-in {sp}: backend `{}` keeps no chunk store to warm",
-                    be.backend
-                ));
-            }
-        }
-    }
+    let warm = o.store_in.as_deref().map(|p| load_warm(p, o.qat_backend, o.ways)).transpose()?;
     // Telemetry runs meter switching energy so the totals land in the
     // counter registry (metering is off by default for speed).
     let qcfg = QatConfig {
@@ -224,11 +226,7 @@ fn cmd_run(path: &str, o: RunOpts) -> Result<(), String> {
     };
     let mcfg = MachineConfig { qat: qcfg, ..Default::default() };
     let machine = Machine::with_image(mcfg, &words);
-    let mut core = if o.trace {
-        entry.build_traced(machine)
-    } else {
-        entry.build(machine)
-    };
+    let mut core = if o.trace { o.model.build_traced(machine) } else { o.model.build(machine) };
     if let Some(e) = core.run_to_halt() {
         return Err(e.to_string());
     }
@@ -243,8 +241,8 @@ fn cmd_run(path: &str, o: RunOpts) -> Result<(), String> {
         let store = finished.qat.store().ok_or_else(|| {
             format!(
                 "--store-out: backend `{}` has no interned chunk store to save \
-                 (eager, or an adaptive run that never promoted)",
-                be.backend
+                 (eager, sparse-re, or an adaptive run that never promoted)",
+                o.qat_backend
             )
         })?;
         let bytes = store
@@ -300,107 +298,89 @@ fn cmd_run(path: &str, o: RunOpts) -> Result<(), String> {
     Ok(())
 }
 
-/// `tangled serve` — fan a batch of programs out over the job pool and
-/// print each result in submission order, plus the merged per-job
-/// telemetry. The CLI face of `tangled_qat::serve`.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use tangled_qat::serve::{FlightConfig, JobKind, JobSpec, LineSink, Pool, ServeConfig};
-    use tangled_qat::sim::difftest::DiffConfig;
+struct ServeOpts {
+    paths: Vec<String>,
+    workers: usize,
+    ways: u32,
+    backend: StorageBackend,
+    /// Run each program on this model instead of the differential oracle.
+    model: Option<String>,
+    metrics_out: Option<String>,
+    live_interval: Option<u64>,
+    crash_dir: Option<std::path::PathBuf>,
+}
 
-    let mut paths: Vec<&String> = Vec::new();
-    let mut workers = 2usize;
-    let mut ways = 16u32;
-    let mut backend = QatConfig::paper().backend;
-    let mut model: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut live_interval: Option<u64> = None;
-    let mut crash_dir: Option<std::path::PathBuf> = None;
-    let mut warm_store: Option<String> = None;
+fn parse_serve(args: &[String]) -> Result<ServeOpts, String> {
+    let mut o = ServeOpts {
+        paths: Vec::new(),
+        workers: 2,
+        ways: 16,
+        backend: QatConfig::paper().backend,
+        model: None,
+        metrics_out: None,
+        live_interval: None,
+        crash_dir: None,
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--workers" => {
-                workers = it
-                    .next()
-                    .ok_or("--workers needs a value")?
-                    .parse()
-                    .map_err(|_| "--workers: not a number")?;
-                runner::check_workers(workers)?;
+                o.workers = value(&mut it, a)?;
+                runner::check_workers(o.workers)?;
             }
-            "--ways" => {
-                ways = it
-                    .next()
-                    .ok_or("--ways needs a value")?
-                    .parse()
-                    .map_err(|_| "--ways: not a number")?;
+            "--ways" => o.ways = value(&mut it, a)?,
+            "--model" => {
+                let m: String = value(&mut it, a)?;
+                model_named(&m)?;
+                o.model = Some(m);
             }
-            "--model" => model = Some(it.next().ok_or("--model needs a value")?.clone()),
-            "--qat-backend" => {
-                let b = it.next().ok_or("--qat-backend needs a value")?;
-                backend = StorageBackend::parse(b)
-                    .ok_or_else(|| format!("unknown Qat backend `{b}` (see `tangled backends`)"))?;
-            }
-            "--metrics-out" => {
-                metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?.clone());
-            }
-            "--live-metrics" => live_interval = Some(8),
-            "--crash-dir" => {
-                crash_dir =
-                    Some(it.next().ok_or("--crash-dir needs a path")?.into());
-            }
-            "--warm-store" => {
-                warm_store = Some(it.next().ok_or("--warm-store needs a path")?.clone());
-            }
+            "--qat-backend" => o.backend = backend_named(&value::<String>(&mut it, a)?)?,
+            "--metrics-out" => o.metrics_out = Some(value(&mut it, a)?),
+            "--live-metrics" => o.live_interval = Some(8),
+            "--crash-dir" => o.crash_dir = Some(value::<String>(&mut it, a)?.into()),
             flag if flag.starts_with("--live-metrics=") => {
-                let n = flag["--live-metrics=".len()..]
-                    .parse()
-                    .map_err(|_| "--live-metrics: not a number")?;
-                live_interval = Some(n);
+                let n = &flag["--live-metrics=".len()..];
+                o.live_interval =
+                    Some(n.parse().map_err(|_| format!("--live-metrics: `{n}` is not a number"))?);
             }
             flag if flag.starts_with("--") => return Err(format!("unknown option `{flag}`")),
-            _ => paths.push(a),
+            _ => o.paths.push(a.clone()),
         }
     }
-    if paths.is_empty() {
+    if o.paths.is_empty() {
         return Err("serve: no programs given".into());
     }
-    // A bad degree is a usage error (exit 2, as in qat-fuzz), caught
-    // before any job can panic on it.
-    if let Err(e) = runner::check_ways(backend, ways, true) {
-        eprintln!("tangled: {e}");
-        std::process::exit(2);
-    }
-    // Attach the warm snapshot once and install it as the process-wide
-    // ambient default: every worker whose register file interns at the
-    // snapshot's degree warms from one shared copy of the chunk payloads
-    // (jobs at other degrees simply start cold).
-    if let Some(sp) = &warm_store {
-        let (id, snap_ways) = tangled_qat::aob::warm::load(std::path::Path::new(sp))
-            .map_err(|e| format!("--warm-store {sp}: {e}"))?;
-        tangled_qat::aob::warm::install_default(id);
-        let chunks =
-            tangled_qat::aob::warm::get(id).map(|s| s.len()).unwrap_or(0);
-        println!("warm store: {sp} ({chunks} chunk(s) at {snap_ways}-way, shared read-only)");
-    }
+    // Caught before any job can panic on it.
+    runner::check_ways(o.backend, o.ways, true)?;
+    Ok(o)
+}
+
+/// `tangled serve` — fan a batch of programs out over the job pool and
+/// print each result in submission order, plus the merged per-job
+/// telemetry. The CLI face of `tangled_qat::serve`.
+fn cmd_serve(o: ServeOpts) -> Result<(), String> {
+    use tangled_qat::serve::{FlightConfig, JobKind, JobSpec, LineSink, Pool, ServeConfig};
+    use tangled_qat::sim::difftest::DiffConfig;
+
     telemetry::set_mode(telemetry::Mode::Counters);
     // Pool gauges (`serve.pool.*`) record to the *global* registry, not
     // the per-job scoped snapshots — take a baseline so the export can
     // surface their delta without double-counting job counters.
     let global_base = telemetry::Snapshot::take();
-    let flight = (live_interval.is_some() || crash_dir.is_some()).then(|| FlightConfig {
-        interval: live_interval.unwrap_or(0),
-        crash_dir: crash_dir.clone(),
+    let flight = (o.live_interval.is_some() || o.crash_dir.is_some()).then(|| FlightConfig {
+        interval: o.live_interval.unwrap_or(0),
+        crash_dir: o.crash_dir.clone(),
         sink: LineSink::Stderr,
     });
-    let pool = Pool::new(ServeConfig { workers, flight, ..Default::default() });
-    let cfg = DiffConfig { ways, backend, ..Default::default() };
-    for path in &paths {
+    let pool = Pool::new(ServeConfig { workers: o.workers, flight, ..Default::default() });
+    let cfg = DiffConfig { ways: o.ways, backend: o.backend, ..Default::default() };
+    for path in &o.paths {
         let words = runner::load_words(path, false)?;
-        let kind = match &model {
+        let kind = match &o.model {
             Some(m) => JobKind::Run { words, model: m.clone() },
             None => JobKind::Differential { words },
         };
-        pool.submit(JobSpec { kind, cfg, label: (*path).clone() })
+        pool.submit(JobSpec { kind, cfg, label: path.clone() })
             .map_err(|e| format!("{path}: {e}"))?;
     }
     let results = pool.drain();
@@ -445,10 +425,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
     }
     if !merged.is_empty() {
-        println!("-- telemetry ({} job(s), {} worker(s)) --", results.len(), workers);
+        println!("-- telemetry ({} job(s), {} worker(s)) --", results.len(), o.workers);
         print!("{}", export::render_summary(&merged));
     }
-    if let Some(path) = &metrics_out {
+    if let Some(path) = &o.metrics_out {
         let doc = export::MetricsDoc {
             snapshot: &merged,
             mode: telemetry::mode(),
@@ -463,49 +443,43 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `tangled metrics diff` — the perf-regression gate. Compares two
-/// metrics/bench JSON artifacts with `tangled_bench::diff` and exits
-/// nonzero when any key moved past its threshold or vanished.
-fn cmd_metrics_diff(args: &[String]) -> Result<(), String> {
-    use tangled_qat::bench::diff::{diff_docs, DiffOptions};
-    use tangled_qat::bench::json::Json;
-
-    let mut files: Vec<&String> = Vec::new();
+/// `metrics diff` arguments: the two documents and the diff options.
+fn parse_diff(args: &[String]) -> Result<([String; 2], DiffOptions), String> {
+    let mut files: Vec<String> = Vec::new();
     let mut opts = DiffOptions::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--threshold" => {
-                opts.default_threshold = it
-                    .next()
-                    .ok_or("--threshold needs a value")?
-                    .parse()
-                    .map_err(|_| "--threshold: not a number")?;
-            }
+            "--threshold" => opts.default_threshold = value(&mut it, a)?,
             "--key-threshold" => {
-                let kv = it.next().ok_or("--key-threshold needs PREFIX=FLOAT")?;
-                let (prefix, t) =
-                    kv.split_once('=').ok_or("--key-threshold needs PREFIX=FLOAT")?;
-                let t: f64 =
-                    t.parse().map_err(|_| "--key-threshold: threshold not a number")?;
+                let kv: String = value(&mut it, a)?;
+                let (prefix, t) = kv.split_once('=').ok_or("--key-threshold needs PREFIX=FLOAT")?;
+                let t: f64 = t.parse().map_err(|_| "--key-threshold: threshold not a number")?;
                 opts.per_key.push((prefix.to_string(), t));
             }
-            "--ignore" => {
-                opts.ignore.push(it.next().ok_or("--ignore needs a prefix")?.clone());
-            }
+            "--ignore" => opts.ignore.push(value(&mut it, a)?),
             flag if flag.starts_with("--") => return Err(format!("unknown option `{flag}`")),
-            _ => files.push(a),
+            _ => files.push(a.clone()),
         }
     }
-    let [base_path, cur_path] = files[..] else {
-        return Err("metrics diff: expected <baseline.json> <current.json>".into());
-    };
+    let files =
+        files.try_into().map_err(|_| "metrics diff: expected <baseline.json> <current.json>")?;
+    Ok((files, opts))
+}
+
+/// `tangled metrics diff` — the perf-regression gate. Compares two
+/// metrics/bench JSON artifacts with `tangled_bench::diff` and exits
+/// nonzero when any key moved past its threshold or vanished.
+fn cmd_metrics_diff([base_path, cur_path]: [String; 2], opts: DiffOptions) -> Result<(), String> {
+    use tangled_qat::bench::diff::diff_docs;
+    use tangled_qat::bench::json::Json;
+
     let read = |p: &str| -> Result<Json, String> {
         let text = std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
         Json::parse(&text).map_err(|e| format!("{p}: {e}"))
     };
-    let base = read(base_path)?;
-    let current = read(cur_path)?;
+    let base = read(&base_path)?;
+    let current = read(&cur_path)?;
     let report = diff_docs(&base, &current, &opts);
     print!("{}", report.render());
     if report.has_regressions() {
@@ -570,25 +544,27 @@ fn cmd_backends() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_factor(n_str: &str, args: &[String]) -> Result<(), String> {
-    let n: u64 = n_str.parse().map_err(|_| "factor: n must be a number")?;
-    let mut width = 0usize;
+/// `factor`/`verilog` arguments: `n` and `--width W`, if given.
+fn parse_factor(n: &str, args: &[String]) -> Result<(u64, Option<usize>), String> {
+    let n = n.parse().map_err(|_| format!("n must be a number, got `{n}`"))?;
+    let mut width = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--width" => {
-                width = it
-                    .next()
-                    .ok_or("--width needs a value")?
-                    .parse()
-                    .map_err(|_| "--width: not a number")?;
-            }
+            "--width" => width = Some(value(&mut it, a)?),
             other => return Err(format!("unknown option `{other}`")),
         }
     }
-    if width == 0 {
-        width = (64 - n.leading_zeros() as usize).max(2);
-    }
+    Ok((n, width))
+}
+
+/// The operand width for `n` when `--width` is not given.
+fn auto_width(n: u64) -> usize {
+    (64 - n.leading_zeros() as usize).max(2)
+}
+
+fn cmd_factor(n: u64, width: Option<usize>) -> Result<(), String> {
+    let width = width.filter(|&w| w != 0).unwrap_or_else(|| auto_width(n));
     if width > 8 {
         return Err("factor: n must fit 8 bits (two operands need ≤16-way entanglement)".into());
     }
@@ -621,9 +597,8 @@ struct Debugger {
 
 impl Debugger {
     /// A debugger stopped before the first instruction of `path`, on the
-    /// default Qat backend at `ways`.
+    /// default Qat backend at `ways` (which [`parse_debug`] has checked).
     fn load(path: &str, ways: u32) -> Result<Debugger, String> {
-        runner::check_ways(QatConfig::paper().backend, ways, false)?;
         let words = runner::load_words(path, false)?;
         let mcfg = MachineConfig { qat: QatConfig::with_ways(ways), ..Default::default() };
         Ok(Debugger { machine: Machine::with_image(mcfg, &words), breakpoints: Default::default() })
@@ -764,9 +739,8 @@ fn parse_addr(t: &str) -> Option<u16> {
     }
 }
 
-fn cmd_sat(path: &str, args: &[String]) -> Result<(), String> {
+fn cmd_sat(path: &str, count_only: bool) -> Result<(), String> {
     use tangled_qat::pbp::{Cnf, PbpContext};
-    let count_only = args.iter().any(|a| a == "--count");
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     // DIMACS: "p cnf <vars> <clauses>" header, clauses of 0-terminated
     // literals, 'c' comment lines.
@@ -845,22 +819,8 @@ fn cmd_sat(path: &str, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_verilog(n_str: &str, args: &[String]) -> Result<(), String> {
-    let n: u64 = n_str.parse().map_err(|_| "verilog: n must be a number")?;
-    let mut width = (64 - n.leading_zeros() as usize).max(2);
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--width" => {
-                width = it
-                    .next()
-                    .ok_or("--width needs a value")?
-                    .parse()
-                    .map_err(|_| "--width: not a number")?;
-            }
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
+fn cmd_verilog(n: u64, width: Option<usize>) -> Result<(), String> {
+    let width = width.unwrap_or_else(|| auto_width(n));
     if width > 8 {
         return Err("verilog: width > 8 needs more than 16-way entanglement".into());
     }
@@ -876,22 +836,18 @@ fn cmd_verilog(n_str: &str, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_debug(path: &str, args: &[String]) -> Result<(), String> {
+/// `debug` arguments: `--ways N`, checked against the default backend.
+fn parse_debug(args: &[String]) -> Result<u32, String> {
     let mut ways = 16u32;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--ways" => {
-                ways = it
-                    .next()
-                    .ok_or("--ways needs a value")?
-                    .parse()
-                    .map_err(|_| "--ways: not a number")?;
-            }
+            "--ways" => ways = value(&mut it, a)?,
             other => return Err(format!("unknown option `{other}`")),
         }
     }
-    Debugger::load(path, ways)?.prompt_loop()
+    runner::check_ways(QatConfig::paper().backend, ways, false)?;
+    Ok(ways)
 }
 
 fn main() -> ExitCode {
@@ -900,27 +856,34 @@ fn main() -> ExitCode {
         Some((c, r)) => (c.as_str(), r),
         None => return usage(),
     };
-    let result = match (cmd, rest.split_first()) {
-        ("asm", Some((path, opts))) => cmd_asm(path, opts.iter().any(|o| o == "--vmem")),
-        ("dis", Some((path, _))) => cmd_dis(path),
-        ("run", Some((path, opts))) => match parse_opts(opts) {
-            Ok(o) => cmd_run(path, o),
-            Err(e) => Err(e),
-        },
-        ("serve", Some(_)) => cmd_serve(rest),
-        ("metrics", Some((sub, rest2))) if sub == "diff" => cmd_metrics_diff(rest2),
-        ("backends", _) => cmd_backends(),
-        ("factor", Some((n, opts))) => cmd_factor(n, opts),
-        ("debug", Some((path, opts))) => cmd_debug(path, opts),
-        ("verilog", Some((n, opts))) => cmd_verilog(n, opts),
-        ("sat", Some((path, opts))) => cmd_sat(path, opts),
+    // The outer `Err` is an option error, which exits 2 as in `qat-fuzz`;
+    // the inner one an error found while running, which exits 1.
+    let result: Result<Result<(), String>, String> = match (cmd, rest.split_first()) {
+        ("asm", Some((path, opts))) => switches(opts, ["--vmem"]).map(|[v]| cmd_asm(path, v)),
+        ("dis", Some((path, opts))) => switches(opts, []).map(|[]| cmd_dis(path)),
+        ("run", Some((path, opts))) => parse_opts(opts).map(|o| cmd_run(path, o)),
+        ("serve", Some(_)) => parse_serve(rest).map(cmd_serve),
+        ("metrics", Some((sub, rest2))) if sub == "diff" => {
+            parse_diff(rest2).map(|(files, opts)| cmd_metrics_diff(files, opts))
+        }
+        ("backends", _) => switches(rest, []).map(|[]| cmd_backends()),
+        ("factor", Some((n, opts))) => parse_factor(n, opts).map(|(n, w)| cmd_factor(n, w)),
+        ("debug", Some((path, opts))) => {
+            parse_debug(opts).map(|ways| Debugger::load(path, ways)?.prompt_loop())
+        }
+        ("verilog", Some((n, opts))) => parse_factor(n, opts).map(|(n, w)| cmd_verilog(n, w)),
+        ("sat", Some((path, opts))) => switches(opts, ["--count"]).map(|[c]| cmd_sat(path, c)),
         _ => return usage(),
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Ok(Ok(())) => ExitCode::SUCCESS,
+        Ok(Err(e)) => {
             eprintln!("tangled: {e}");
             ExitCode::FAILURE
+        }
+        Err(e) => {
+            eprintln!("tangled: {e}");
+            ExitCode::from(2)
         }
     }
 }

@@ -47,7 +47,6 @@ pub use tangled_bfloat as bfloat;
 pub use tangled_isa as isa;
 pub use tangled_serve as serve;
 pub use tangled_sim as sim;
-pub use tangled_store as store;
 pub use tangled_telemetry as telemetry;
 
 /// Convenience prelude bringing the most-used types into scope.

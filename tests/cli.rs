@@ -2,11 +2,12 @@
 
 use std::process::Command;
 
+fn tangled_output(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_tangled")).args(args).output().expect("binary runs")
+}
+
 fn tangled(args: &[&str]) -> (String, String, bool) {
-    let out = Command::new(env!("CARGO_BIN_EXE_tangled"))
-        .args(args)
-        .output()
-        .expect("binary runs");
+    let out = tangled_output(args);
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
@@ -60,22 +61,25 @@ fn run_options_select_models() {
 /// The retired model shorthands and the legacy metrics flag are unknown
 /// options now: `--model` and the v2 document are the only spellings. The
 /// corpus is its loose `.s` files, so the journal's `tangled corpus`
-/// subcommands and `qat-fuzz --resume` are gone too.
+/// subcommands and `qat-fuzz --resume` are gone too, and a warm snapshot
+/// attaches only through `run --store-in`, so `serve --warm-store` is gone.
 #[test]
 fn retired_flags_are_rejected() {
     let path = asm_path("counting.s");
-    for flags in [&["--multicycle"][..], &["--stages", "5"], &["--no-forwarding"], &["--metrics-v1"]] {
-        let mut args = vec!["run", path.as_str(), "--ways", "8"];
+    let run_flags =
+        [&["--multicycle"][..], &["--stages", "5"], &["--no-forwarding"], &["--metrics-v1"]];
+    let cases =
+        run_flags.map(|f| ("run", f)).into_iter().chain([("serve", &["--warm-store", "F"][..])]);
+    for (sub, flags) in cases {
+        let mut args = vec![sub, path.as_str(), "--ways", "8"];
         args.extend_from_slice(flags);
-        let (_, stderr, ok) = tangled(&args);
-        assert!(!ok, "{flags:?} accepted");
-        assert!(stderr.contains("unknown option"), "{flags:?}: {stderr}");
+        let out = tangled_output(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{sub} {flags:?}: {stderr}");
+        assert!(stderr.contains("unknown option"), "{sub} {flags:?}: {stderr}");
     }
     let corpus = format!("{}/fuzz/corpus", env!("CARGO_MANIFEST_DIR"));
-    let out = Command::new(env!("CARGO_BIN_EXE_tangled"))
-        .args(["corpus", "ls", &corpus])
-        .output()
-        .expect("binary runs");
+    let out = tangled_output(&["corpus", "ls", &corpus]);
     assert_eq!(out.status.code(), Some(2), "tangled corpus is a usage error");
     for flag in ["--metrics-v1", "--resume"] {
         let out = qat_fuzz(&[flag]);
@@ -121,9 +125,6 @@ fn errors_are_reported_not_panicked() {
     let (_, stderr, ok) = tangled(&["run", "/nonexistent/prog.s"]);
     assert!(!ok);
     assert!(stderr.contains("tangled:"));
-    let (_, stderr, ok) = tangled(&["run", &asm_path("counting.s"), "--bogus"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown option"));
     let (_, _, ok) = tangled(&["frobnicate"]);
     assert!(!ok);
     let (_, stderr, ok) = tangled(&["factor", "999"]);
@@ -131,18 +132,16 @@ fn errors_are_reported_not_panicked() {
     assert!(stderr.contains("8 bits"));
 
     // Inputs the library would reject with an assert: a literal past the
-    // DIMACS header, n wider than --width, and a --ways the default
-    // backend cannot build.
+    // DIMACS header and n wider than --width (a --ways the default backend
+    // cannot build is in `option_errors_exit_2`).
     let dir = std::env::temp_dir().join("tangled_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
     let cnf = dir.join("literal_past_header.cnf");
     std::fs::write(&cnf, "p cnf 3 1\n1 5 0\n").unwrap();
-    let counting = asm_path("counting.s");
     for args in [
         &["sat", cnf.to_str().unwrap()][..],
         &["factor", "15", "--width", "1"],
         &["verilog", "15", "--width", "0"],
-        &["debug", &counting, "--ways", "40"],
     ] {
         let (_, stderr, ok) = tangled(args);
         assert!(!ok, "{args:?} succeeded");
@@ -150,6 +149,90 @@ fn errors_are_reported_not_panicked() {
         assert_eq!(reported, 1, "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+}
+
+/// Every option error of a subcommand is a usage error, as in
+/// `qat-fuzz`: exit 2 with one `tangled:` line, before any input is read
+/// or any job runs.
+#[test]
+fn option_errors_exit_2() {
+    let prog = asm_path("counting.s");
+    let common: [&[&str]; 6] = [
+        &["--bogus"],
+        &["--ways"],
+        &["--ways", "x"],
+        &["--ways", "40"],
+        &["--qat-backend", "nope"],
+        &["--model", "nope"],
+    ];
+    let workers: [&[&str]; 3] = [&["--workers", "0"], &["--workers", "257"], &["--workers", "x"]];
+    let cases = common
+        .map(|f| ("run", f))
+        .into_iter()
+        .chain(common.into_iter().chain(workers).map(|f| ("serve", f)))
+        .chain([("debug", &["--ways", "40"][..])])
+        .chain(["asm", "dis", "sat"].map(|sub| (sub, &["--bogus"][..])));
+    for (sub, flags) in cases {
+        let mut args = vec![sub, prog.as_str()];
+        args.extend_from_slice(flags);
+        let out = tangled_output(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let reported = stderr.lines().filter(|l| l.starts_with("tangled:")).count();
+        assert_eq!(reported, 1, "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+/// `--store-in` of bytes that are not a snapshot, or of a snapshot the
+/// run's register file cannot attach, exits 1 with one `tangled:
+/// --store-in` line: never a panic, never a silent cold start.
+#[test]
+fn store_in_rejects_what_it_cannot_warm() {
+    let dir = fresh_dir("store_in");
+    let factor15 = asm_path("factor15.s");
+    let six = dir.join("six.tgls");
+    let six = six.to_str().unwrap();
+    let (_, stderr, ok) = tangled(&[
+        "run",
+        &factor15,
+        "--ways",
+        "6",
+        "--qat-backend",
+        "interned",
+        "--store-out",
+        six,
+    ]);
+    assert!(ok, "{stderr}");
+    let garbage: Vec<u8> = (0..64u32).map(|i| (i.wrapping_mul(151) ^ 0x5a) as u8).collect();
+    let mut cases = Vec::new();
+    for (name, bytes) in [("empty", &b""[..]), ("magic-only", b"TGLSTORE"), ("garbage", &garbage)] {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        cases.push((path.to_str().unwrap().to_string(), "interned"));
+    }
+    // A 6-way snapshot fits neither an 8-way interned file nor sparse-re,
+    // whose 6-way symbol store is internal and never warms.
+    cases.push((six.to_string(), "interned"));
+    cases.push((six.to_string(), "sparse-re"));
+    for (path, backend) in &cases {
+        let out = tangled_output(&[
+            "run",
+            &factor15,
+            "--ways",
+            "8",
+            "--qat-backend",
+            backend,
+            "--store-in",
+            path,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{path} on {backend}: {stderr}");
+        let reported = stderr.lines().filter(|l| l.starts_with("tangled: --store-in")).count();
+        assert_eq!(reported, 1, "{path} on {backend}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{path} on {backend}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Drive `tangled debug` on an example program with a scripted stdin.
@@ -296,10 +379,7 @@ fn serve_rejects_unsupported_ways() {
     for (ways, backend, msg) in
         [("20", "interned", "supports ways 1..=16"), ("32", "sparse-re", "at most 26 ways")]
     {
-        let out = Command::new(env!("CARGO_BIN_EXE_tangled"))
-            .args(["serve", &path, "--ways", ways, "--qat-backend", backend])
-            .output()
-            .expect("binary runs");
+        let out = tangled_output(&["serve", &path, "--ways", ways, "--qat-backend", backend]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "--ways {ways}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{stderr}");
@@ -345,8 +425,9 @@ fn qat_fuzz_rejects_seed_range_overflow() {
 /// way each rejects `--workers 0`.
 #[test]
 fn workers_past_the_cap_are_rejected() {
-    let (_, stderr, ok) = tangled(&["serve", &asm_path("counting.s"), "--workers", "257"]);
-    assert!(!ok);
+    let out = tangled_output(&["serve", &asm_path("counting.s"), "--workers", "257"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("1..=256"), "{stderr}");
     let dir = fresh_dir("workers_cap");
     let corpus = dir.to_str().unwrap();

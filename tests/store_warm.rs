@@ -1,9 +1,9 @@
 //! Warm-start semantics of ChunkStore snapshots, end to end: a snapshot
 //! saved by one run and attached by another must be *semantically
-//! invisible* — the factoring demo computes bit-identical architectural
-//! state warm or cold — while skipping every kernel compile the snapshot
-//! already paid for. The serve-pool variant pins the shared read-only
-//! attach: many workers, one registered snapshot, identical results.
+//! invisible* — the program computes bit-identical architectural state
+//! warm or cold — while skipping every kernel compile the snapshot
+//! already paid for. Both files that intern are covered: the interned
+//! file attaches at construction, the adaptive file when it promotes.
 
 use tangled_qat::aob::{warm, ChunkStore};
 use tangled_qat::asm;
@@ -12,12 +12,10 @@ use tangled_qat::sim::{Machine, MachineConfig};
 
 const WAYS: u32 = 8;
 
-fn factor15_words() -> Vec<u16> {
-    let src = std::fs::read_to_string(format!(
-        "{}/examples/asm/factor15.s",
-        env!("CARGO_MANIFEST_DIR")
-    ))
-    .unwrap();
+fn words(name: &str) -> Vec<u16> {
+    let src =
+        std::fs::read_to_string(format!("{}/examples/asm/{name}", env!("CARGO_MANIFEST_DIR")))
+            .unwrap();
     asm::assemble(&src).unwrap().words
 }
 
@@ -29,7 +27,7 @@ fn run(cfg: QatConfig, words: &[u16]) -> Machine {
 
 #[test]
 fn warm_factoring_is_bit_identical_to_cold_and_compiles_nothing() {
-    let words = factor15_words();
+    let words = words("factor15.s");
     let cold_cfg = QatConfig::with_backend(StorageBackend::Interned, WAYS);
     let cold = run(cold_cfg, &words);
 
@@ -57,51 +55,22 @@ fn warm_factoring_is_bit_identical_to_cold_and_compiles_nothing() {
     assert_eq!(cold2.regs, cold.regs);
 }
 
+/// `--store-out` and `--store-in` on the default backend: a run that
+/// promotes saves its interned store, and a warm run's file attaches it
+/// when it promotes, so every gate after promotion is a cache hit.
 #[test]
-fn serve_workers_attach_one_shared_snapshot_via_ambient_default() {
-    use tangled_qat::serve::{JobKind, JobResult, JobSpec, Pool, ServeConfig};
-    use tangled_qat::sim::difftest::DiffConfig;
-    use tangled_qat::telemetry;
+fn promoted_adaptive_file_warms_from_its_own_snapshot() {
+    let words = words("gate_reuse.s");
+    let cfg = QatConfig::with_backend(StorageBackend::Adaptive, 16);
+    let cold = run(cfg, &words);
+    let store = cold.qat.store().expect("gate_reuse.s promotes the adaptive file");
+    assert!(store.stats().misses > 0, "the cold promoted file compiles kernels");
+    let id = warm::register(ChunkStore::from_bytes(&store.to_bytes()).expect("own snapshot loads"));
 
-    telemetry::set_mode(telemetry::Mode::Counters);
-    let words = factor15_words();
-    let jobs = |n: u64| -> Vec<JobSpec> {
-        (0..n)
-            .map(|i| JobSpec {
-                kind: JobKind::Run { words: words.clone(), model: "pipeline-4-fw".into() },
-                cfg: DiffConfig { ways: WAYS, backend: StorageBackend::Interned, ..Default::default() },
-                label: format!("job-{i}"),
-            })
-            .collect()
-    };
-    let run_pool = |workers: usize| -> Vec<JobResult> {
-        let pool = Pool::new(ServeConfig { workers, ..Default::default() });
-        for j in jobs(6) {
-            pool.submit(j).unwrap();
-        }
-        pool.drain()
-    };
-
-    // Cold baseline first (no ambient default installed yet).
-    let cold = run_pool(2);
-
-    // One process-wide snapshot, installed the way `tangled serve
-    // --warm-store` does it; workers pick it up with no per-job handle.
-    let seed = run(QatConfig::with_backend(StorageBackend::Interned, WAYS), &words);
-    let id = warm::register(seed.qat.store().unwrap().clone());
-    warm::install_default(id);
-    let base = telemetry::Snapshot::take();
-    let warm_results = run_pool(4);
-    let delta = telemetry::Snapshot::take().delta(&base);
-    warm::clear_default(WAYS);
-
-    for (a, b) in cold.iter().zip(&warm_results) {
-        assert_eq!(a.label, b.label);
-        assert_eq!(a.result, b.result, "{}: warm serve diverged from cold", a.label);
-    }
-    let attached = delta.get("store.chunks.attached");
-    assert!(
-        attached >= 6,
-        "every warm job should attach the shared snapshot, counted {attached}"
-    );
+    let warm_run = run(QatConfig { warm: Some(id), ..cfg }, &words);
+    assert_eq!(warm_run.regs, cold.regs, "architectural registers diverged");
+    assert_eq!(warm_run.steps, cold.steps);
+    let stats = warm_run.qat.intern_stats().expect("the promoted file interns");
+    assert_eq!(stats.misses, 0, "warm run compiled kernels: {stats:?}");
+    assert!(stats.hits > 0, "warm run never touched the op cache");
 }
