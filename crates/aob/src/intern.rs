@@ -357,16 +357,6 @@ impl ChunkStore {
         id
     }
 
-    /// Intern a single 64-bit word as a chunk (single-word stores only,
-    /// `ways <= 6`); bits beyond `2^ways` are masked off.
-    pub fn intern_word(&mut self, w: u64) -> ChunkId {
-        assert!(self.ways <= 6, "intern_word needs a single-word store");
-        let mut v = Aob::zeros(self.ways);
-        v.words_mut()[0] = w;
-        v.normalize();
-        self.intern(v)
-    }
-
     /// Account an operation answered by an algebraic identity or op-cache
     /// probe: the result id names a chunk that already exists, so it is
     /// both a `hit` and a `dedup_hit`. No hash-table or kernel work runs.
@@ -414,9 +404,10 @@ impl ChunkStore {
     /// Algebraic identity arm of [`ChunkStore::binop`]: when the result is
     /// one of the operands or a canonical constant, return its id without
     /// touching the op cache or the content-hash table. Pure — does not
-    /// account stats; callers wrap hits in [`ChunkStore::note_reuse`].
+    /// account stats; callers wrap hits in `note_reuse`. Any table that
+    /// issues the canonical [`ID_ZERO`] and [`ID_ONE`] can use it.
     #[inline]
-    fn binop_shortcut(op: GateOp, a: ChunkId, b: ChunkId) -> Option<ChunkId> {
+    pub fn binop_shortcut(op: GateOp, a: ChunkId, b: ChunkId) -> Option<ChunkId> {
         match op {
             GateOp::And => {
                 if a == b || b == ID_ONE {
@@ -975,18 +966,6 @@ mod tests {
         let id = s.intern(v.clone());
         let r = s.not(id);
         assert_eq!(*s.aob(r), v.not_of());
-    }
-
-    #[test]
-    fn intern_word_masks_and_dedupes() {
-        let mut s = ChunkStore::new(6);
-        let a = s.intern_word(0xAAAA_AAAA_AAAA_AAAA);
-        assert_eq!(a, s.id_hadamard(0));
-        assert_eq!(s.intern_word(0), ID_ZERO);
-        assert_eq!(s.intern_word(u64::MAX), ID_ONE);
-        let mut s4 = ChunkStore::new(4);
-        // Bits beyond 2^4 are masked off before interning.
-        assert_eq!(s4.intern_word(0xFFFF_0000), ID_ZERO);
     }
 
     #[test]

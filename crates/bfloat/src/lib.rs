@@ -105,6 +105,8 @@ impl Bf16 {
 
     /// `addf`: bfloat16 addition with round-to-nearest-even.
     #[inline]
+    // Named after the Tangled instruction it implements, not `std::ops`.
+    #[allow(clippy::should_implement_trait)]
     pub fn add(self, rhs: Bf16) -> Bf16 {
         Bf16::from_f32(self.to_f32() + rhs.to_f32())
     }
@@ -113,6 +115,8 @@ impl Bf16 {
     /// two 8-bit-significand values fits in `f32`'s 24-bit significand, so
     /// this is correctly rounded.
     #[inline]
+    // Named after the Tangled instruction it implements, not `std::ops`.
+    #[allow(clippy::should_implement_trait)]
     pub fn mul(self, rhs: Bf16) -> Bf16 {
         Bf16::from_f32(self.to_f32() * rhs.to_f32())
     }
@@ -120,6 +124,8 @@ impl Bf16 {
     /// `negf`: flip the sign bit. The hardware treats this as a pure
     /// bitwise operation, so `negf` of NaN flips the NaN's sign too.
     #[inline]
+    // Named after the Tangled instruction it implements, not `std::ops`.
+    #[allow(clippy::should_implement_trait)]
     pub fn neg(self) -> Bf16 {
         Bf16(self.0 ^ 0x8000)
     }
@@ -159,6 +165,8 @@ impl Bf16 {
     /// Subtraction composed exactly as Tangled software does it:
     /// `addf` with `negf` of the subtrahend.
     #[inline]
+    // Named after the `addf`/`negf` sequence it models, not `std::ops`.
+    #[allow(clippy::should_implement_trait)]
     pub fn sub(self, rhs: Bf16) -> Bf16 {
         self.add(rhs.neg())
     }
@@ -167,6 +175,8 @@ impl Bf16 {
     /// of the divisor (so its accuracy inherits the table reciprocal's
     /// ≤ 1 ulp bound plus one rounding).
     #[inline]
+    // Named after the `mulf`/`recip` sequence it models, not `std::ops`.
+    #[allow(clippy::should_implement_trait)]
     pub fn div(self, rhs: Bf16) -> Bf16 {
         self.mul(rhs.recip())
     }

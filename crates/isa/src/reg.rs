@@ -58,7 +58,7 @@ impl Reg {
             "sp" => Some(SP),
             _ => {
                 let n: u8 = body.parse().ok()?;
-                (n < 16).then(|| Reg(n))
+                (n < 16).then_some(Reg(n))
             }
         }
     }

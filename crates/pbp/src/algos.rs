@@ -24,7 +24,7 @@ pub struct Cnf {
 impl Cnf {
     /// New formula over `num_vars` variables.
     pub fn new(num_vars: u32) -> Cnf {
-        assert!(num_vars >= 1 && num_vars <= 16, "1..=16 variables supported");
+        assert!((1..=16).contains(&num_vars), "1..=16 variables supported");
         Cnf { num_vars, clauses: Vec::new() }
     }
 

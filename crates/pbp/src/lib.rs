@@ -10,18 +10,18 @@
 //! computing reduces both storage requirements and computational
 //! complexity by as much as an exponential factor."
 //!
-//! * Chunks are 64-bit words, **hash-consed** in a shared
-//!   [`pbp_aob::ChunkStore`] — the same content-addressed store that backs
-//!   the Qat register file, here at [`CHUNK_WAYS`]-way degree. An RE
-//!   symbol ([`Sym`]) **is** a store [`pbp_aob::ChunkId`], so
-//!   run-length-compressed values beyond `WAYS` share chunks structurally
-//!   with everything else interned in the context (the prototype used
-//!   4096-bit chunks; the paper's own hardware proposal is that 65,536-bit
-//!   AoB values become the RE symbols — the chunk size is a representation
-//!   parameter, and 64 bits maps naturally onto host words).
-//! * Gate operations act symbol-wise with memoization (the store's op
-//!   cache), so an operation on two pbits costs `O(runs)` — independent of
-//!   `2^E`.
+//! * Chunks are 64-bit words, interned in a flat per-context word table:
+//!   an RE symbol ([`Sym`]) is a dense index into a `Vec<u64>` of
+//!   patterns, so equal chunks share one id and run-length compression
+//!   works on ids. The ids are the ones a [`CHUNK_WAYS`]-way
+//!   [`pbp_aob::ChunkStore`] would issue in the same order (the prototype
+//!   used 4096-bit chunks; the paper's own hardware proposal is that
+//!   65,536-bit AoB values become the RE symbols — the chunk size is a
+//!   representation parameter, and 64 bits maps naturally onto host
+//!   words).
+//! * Gate operations act symbol-wise — one ALU op and one table probe per
+//!   run pair, with no op cache — so an operation on two pbits costs
+//!   `O(runs)`, independent of `2^E`.
 //! * Measurement (`get`/`next`/`pop`/`any`/`all`) walks runs, giving the
 //!   `O(1)`-ish summaries of §2.7 even for huge universes.
 //! * The [`Pint`] word-level API reproduces the Figure 9 programming
@@ -36,6 +36,7 @@ mod packed;
 mod pint;
 mod re;
 pub mod storage;
+mod symbols;
 pub(crate) mod telem;
 pub mod tree;
 
@@ -45,36 +46,43 @@ pub use re::Re;
 pub use storage::SparseReFile;
 pub use tree::{PTree, TPint, TreeCtx, TreeError};
 
-use pbp_aob::{ChunkId, ChunkStore, GateOp, InternStats, WaysError};
+use pbp_aob::{ChunkId, GateOp, InternStats, WaysError};
+
+use crate::re::Run;
+use crate::symbols::SymbolTable;
 
 /// Chunk width in bits (one symbol covers this many entanglement channels).
 pub const CHUNK_BITS: u64 = 64;
 /// log2 of the chunk width.
 pub const CHUNK_WAYS: u32 = 6;
 
-/// Interned chunk-symbol id — a [`ChunkStore`] id, so RE symbols are store
-/// ids and chunk sharing is structural.
+/// Interned chunk-symbol id: a dense index into the context's word table.
+/// It keeps the [`ChunkId`] type because packed `Lit` command words carry
+/// these ids, and they are exactly the ids a [`pbp_aob::ChunkStore`] of the
+/// same degree would hand out.
 pub type Sym = ChunkId;
 
-/// Binary gate selector for memoized symbol ops (alias of the store's).
+/// Binary gate selector for symbol ops.
 pub(crate) type BinOp = GateOp;
 
-/// The PBP execution context: universe size, the hash-consed symbol store
-/// (with its memoized gate kernels), and the entanglement-channel
-/// allocator.
+/// The PBP execution context: universe size, the chunk-symbol table, and
+/// the entanglement-channel allocator.
 #[derive(Debug, Clone)]
 pub struct PbpContext {
     universe_ways: u32,
-    /// Hash-consed chunk symbols + memoized symbol ops, at [`CHUNK_WAYS`]
-    /// degree (one 64-bit word per chunk).
-    store: ChunkStore,
+    /// Interned chunk words, one 64-bit word per symbol, masked to the
+    /// live channels below [`CHUNK_WAYS`].
+    symbols: SymbolTable,
+    /// Scratch run list the gate kernels build a result period in, kept
+    /// between gates so that a result's only allocation is its packing.
+    runs: Vec<Run>,
     /// Next unallocated entanglement-channel dimension.
     next_dim: u32,
 }
 
-/// Symbol id of the all-zeros chunk (the store's canonical zero).
+/// Symbol id of the all-zeros chunk (the table's canonical zero).
 pub const SYM_ZERO: Sym = pbp_aob::ID_ZERO;
-/// Symbol id of the all-ones chunk (the store's canonical one).
+/// Symbol id of the all-ones chunk (the table's canonical one).
 pub const SYM_ONE: Sym = pbp_aob::ID_ONE;
 
 /// Smallest supported `universe_ways`.
@@ -89,18 +97,16 @@ impl PbpContext {
     /// [`MIN_UNIVERSE_WAYS`]`..=`[`MAX_UNIVERSE_WAYS`].
     ///
     /// Universes smaller than one chunk (`universe_ways < CHUNK_WAYS`)
-    /// are supported by interning at the sub-chunk degree: the store
+    /// are supported by interning at the sub-chunk degree: the table
     /// masks padding bits on every interned word, so the RE layer's
     /// canonical zero/one symbols are already the *masked* constants and
     /// no measurement can observe padding.
     pub fn try_new(universe_ways: u32) -> Result<Self, WaysError> {
         WaysError::check(universe_ways, MIN_UNIVERSE_WAYS, MAX_UNIVERSE_WAYS)?;
-        // The store pre-interns the constant bank [0, 1, H(0)..], so
-        // SYM_ZERO / SYM_ONE are its canonical first two ids. Sub-chunk
-        // universes get a store at their own degree, which keeps every
-        // symbol masked to the live channels.
-        let store = ChunkStore::new(universe_ways.min(CHUNK_WAYS));
-        Ok(PbpContext { universe_ways, store, next_dim: 0 })
+        // The table pre-interns the constant bank [0, 1, H(0)..], so
+        // SYM_ZERO / SYM_ONE are its canonical first two ids.
+        let symbols = SymbolTable::new(universe_ways);
+        Ok(PbpContext { universe_ways, symbols, runs: Vec::new(), next_dim: 0 })
     }
 
     /// Panicking convenience wrapper around [`PbpContext::try_new`].
@@ -129,35 +135,38 @@ impl PbpContext {
     }
 
     /// Number of distinct chunk symbols interned so far (includes the
-    /// store's 8-entry constant bank).
+    /// 8-entry constant bank).
     pub fn symbol_count(&self) -> usize {
-        self.store.len()
+        self.symbols.len()
     }
 
-    /// Cache hit/miss/eviction counters of the symbol store.
+    /// Symbol-table counters: `chunks` counts symbols; a symbol op is a
+    /// `miss` when it interns a new pattern and a `hit` otherwise (an
+    /// algebraic shortcut or an existing pattern); `dedup_hits` adds the
+    /// interned words that were already present; `evictions` is 0.
     pub fn intern_stats(&self) -> InternStats {
-        self.store.stats()
+        self.symbols.stats()
     }
 
     /// Intern a chunk pattern.
     pub(crate) fn sym(&mut self, chunk: u64) -> Sym {
-        self.store.intern_word(chunk)
+        self.symbols.sym(chunk)
     }
 
     /// Pattern of a symbol.
     #[inline]
     pub(crate) fn pattern(&self, s: Sym) -> u64 {
-        self.store.aob(s).words()[0]
+        self.symbols.pattern(s)
     }
 
-    /// Memoized binary op on symbols.
+    /// Binary op on symbols.
     pub(crate) fn bin_sym(&mut self, op: BinOp, a: Sym, b: Sym) -> Sym {
-        self.store.binop(op, a, b)
+        self.symbols.bin(op, a, b)
     }
 
-    /// Memoized NOT on a symbol.
+    /// NOT on a symbol.
     pub(crate) fn not_sym(&mut self, a: Sym) -> Sym {
-        self.store.not(a)
+        self.symbols.not(a)
     }
 
     /// Allocate `n` fresh entanglement-channel dimensions (the "disjoint
@@ -190,7 +199,7 @@ impl PbpContext {
 mod tests {
     use super::*;
 
-    /// The store's preloaded constant bank: 0, 1, H(0)..H(5).
+    /// The table's preloaded constant bank: 0, 1, H(0)..H(5).
     const BANK: usize = 8;
 
     #[test]
@@ -208,7 +217,7 @@ mod tests {
             pbp_aob::WaysError { ways: 0, min: MIN_UNIVERSE_WAYS, max: MAX_UNIVERSE_WAYS }
         );
         assert!(PbpContext::try_new(41).is_err());
-        // Sub-chunk universes are supported (masked single-chunk store).
+        // Sub-chunk universes are supported (masked single-chunk symbols).
         let ctx = PbpContext::try_new(5).unwrap();
         assert_eq!(ctx.channels(), 32);
         assert_eq!(ctx.total_chunks(), 1);
@@ -230,17 +239,17 @@ mod tests {
     }
 
     #[test]
-    fn canonical_symbols_match_store_bank() {
+    fn canonical_symbols_match_the_bank() {
         let mut ctx = PbpContext::new(8);
         assert_eq!(ctx.sym(0), SYM_ZERO);
         assert_eq!(ctx.sym(u64::MAX), SYM_ONE);
-        // H(0)'s chunk word is the store's canonical H(0).
+        // H(0)'s chunk word is the bank's canonical H(0).
         let h0 = ctx.sym(pbp_aob::hadamard::LANE[0]);
         assert_eq!(h0.raw(), 2);
     }
 
     #[test]
-    fn memoized_ops_hit_cache() {
+    fn symbol_ops_count_existing_patterns_as_hits() {
         let mut ctx = PbpContext::new(8);
         let a = ctx.sym(0xF0F0_F0F0_F0F0_F0F0);
         let r1 = ctx.bin_sym(BinOp::And, a, SYM_ONE);

@@ -26,9 +26,10 @@
 //! form instead of `Lit`.
 //!
 //! Every run encodes on its own, so the words are a pure function of the
-//! run list: `decode(pack(runs)) == runs`, and equal run lists produce
-//! identical words, so the derived equality on [`PackedRuns`] coincides
-//! with run-list equality and corpus replays are bit-stable.
+//! run list: iterating `pack(runs)` yields `runs` again, and equal run
+//! lists produce identical words, so the derived equality on
+//! [`PackedRuns`] coincides with run-list equality and corpus replays are
+//! bit-stable.
 
 use crate::re::Run;
 use crate::{Sym, SYM_ONE, SYM_ZERO};
@@ -82,11 +83,6 @@ impl PackedRuns {
         self.words.len()
     }
 
-    /// Expand back to the flat run list.
-    pub fn decode(&self) -> Vec<Run> {
-        self.iter().collect()
-    }
-
     /// Iterate the logical runs, streaming straight off the command words.
     pub fn iter(&self) -> RunIter<'_> {
         RunIter { words: &self.words, k: 0 }
@@ -115,6 +111,7 @@ fn encode_run(words: &mut Vec<u32>, r: Run) {
 }
 
 /// Iterator over a [`PackedRuns`]'s logical runs.
+#[derive(Clone)]
 pub struct RunIter<'a> {
     words: &'a [u32],
     k: usize,
@@ -163,7 +160,7 @@ mod tests {
 
     fn roundtrip(runs: &[Run]) -> PackedRuns {
         let p = PackedRuns::pack(runs);
-        assert_eq!(p.decode(), runs, "decode(pack) must be exact");
+        assert_eq!(p.iter().collect::<Vec<_>>(), runs, "iterating pack(runs) must be exact");
         assert_eq!(p.runs(), runs.len());
         assert_eq!(p.chunks(), runs.iter().map(|r| r.len).sum::<u64>());
         p
@@ -217,6 +214,6 @@ mod tests {
         let a = PackedRuns::pack(&merged);
         let b = PackedRuns::pack(&merged);
         assert_eq!(a, b);
-        assert_eq!(a.decode(), b.decode());
+        assert!(a.iter().eq(b.iter()));
     }
 }

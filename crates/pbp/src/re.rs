@@ -7,9 +7,11 @@
 //! runs regardless of `E`: `H(k)` for `k ≥ 6` is literally `(0^m 1^m)^r`,
 //! the paper's run-length-encoding example scaled to chunk granularity.
 //!
-//! All gate operations work run-zipper-wise with memoized symbol ops, and
-//! all measurements walk runs — nothing is ever `O(2^E)` unless the value
-//! itself has `O(2^E)` entropy.
+//! All gate operations zip the operands' runs with one symbol op per run
+//! pair, and all measurements walk runs — nothing is ever `O(2^E)` unless
+//! the value itself has `O(2^E)` entropy. The gate kernels stream the
+//! packed periods and canonicalise in place, so a result's only
+//! allocation is its packing.
 //!
 //! The period itself is stored in the packed hybrid encoding of
 //! [`crate::packed::PackedRuns`] — one or two tagged `u32` command words
@@ -17,7 +19,9 @@
 //! bytes instead of 16 while every operation still runs over the logical
 //! runs.
 
-use crate::packed::PackedRuns;
+use std::iter::Cycle;
+
+use crate::packed::{PackedRuns, RunIter};
 use crate::{BinOp, PbpContext, Sym, CHUNK_BITS, CHUNK_WAYS, SYM_ONE, SYM_ZERO};
 use pbp_aob::Aob;
 
@@ -72,39 +76,6 @@ impl Re {
     }
 }
 
-/// Merge adjacent equal-symbol runs in place.
-fn merge_adjacent(runs: &mut Vec<Run>) {
-    let mut out: Vec<Run> = Vec::with_capacity(runs.len());
-    for r in runs.drain(..) {
-        match out.last_mut() {
-            Some(last) if last.sym == r.sym => last.len += r.len,
-            _ => out.push(r),
-        }
-    }
-    *runs = out;
-}
-
-/// Split a run list at an absolute chunk position (splitting a straddling
-/// run if necessary). Returns (left, right).
-fn split_at_chunk(runs: &[Run], pos: u64) -> (Vec<Run>, Vec<Run>) {
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    let mut acc = 0u64;
-    for r in runs {
-        if acc >= pos {
-            right.push(*r);
-        } else if acc + r.len <= pos {
-            left.push(*r);
-        } else {
-            let l = pos - acc;
-            left.push(Run { sym: r.sym, len: l });
-            right.push(Run { sym: r.sym, len: r.len - l });
-        }
-        acc += r.len;
-    }
-    (left, right)
-}
-
 impl PbpContext {
     // ------------------------------------------------------------------
     // Constructors
@@ -149,15 +120,9 @@ impl PbpContext {
             self.universe_ways(),
             "AoB degree must match the context universe"
         );
-        let mut runs: Vec<Run> = Vec::new();
-        for &w in a.words() {
-            let sym = self.sym(w);
-            match runs.last_mut() {
-                Some(last) if last.sym == sym => last.len += 1,
-                _ => runs.push(Run { sym, len: 1 }),
-            }
-        }
-        self.build_re(runs, 1)
+        let mut runs: Vec<Run> =
+            a.words().iter().map(|&w| Run { sym: self.sym(w), len: 1 }).collect();
+        Self::build_re(&mut runs, 1)
     }
 
     /// Expand to an explicit AoB vector (test oracle; only for universes
@@ -165,10 +130,9 @@ impl PbpContext {
     pub fn to_aob(&self, re: &Re) -> Aob {
         let ways = self.universe_ways();
         let mut v = Aob::zeros(ways);
-        let runs = re.period.decode();
         let mut idx = 0usize;
         for _ in 0..re.reps {
-            for r in &runs {
+            for r in re.period.iter() {
                 let pat = self.pattern(r.sym);
                 for _ in 0..r.len {
                     v.words_mut()[idx] = pat;
@@ -186,27 +150,22 @@ impl PbpContext {
     /// Canonicalize a raw run list — merge adjacent equal-symbol runs,
     /// shrink the period by halving while both halves agree — then pack
     /// it. Packing is deterministic, so structurally equal pbits compare
-    /// equal on the packed words.
-    fn build_re(&self, mut period: Vec<Run>, mut reps: u64) -> Re {
-        merge_adjacent(&mut period);
-        loop {
-            let pc: u64 = period.iter().map(|r| r.len).sum();
-            if pc % 2 != 0 {
-                break;
+    /// equal on the packed words. Works in place: the packing is the only
+    /// allocation.
+    fn build_re(period: &mut Vec<Run>, mut reps: u64) -> Re {
+        period.dedup_by(|r, prev| {
+            let same = r.sym == prev.sym;
+            if same {
+                prev.len += r.len;
             }
-            let (l, r) = split_at_chunk(&period, pc / 2);
-            let mut lm = l;
-            let mut rm = r;
-            merge_adjacent(&mut lm);
-            merge_adjacent(&mut rm);
-            if lm == rm {
-                period = lm;
-                reps *= 2;
-            } else {
-                break;
-            }
+            same
+        });
+        let mut chunks: u64 = period.iter().map(|r| r.len).sum();
+        while chunks.is_multiple_of(2) && halve(period, chunks / 2) {
+            chunks /= 2;
+            reps *= 2;
         }
-        Re { period: PackedRuns::pack(&period), reps }
+        Re { period: PackedRuns::pack(period), reps }
     }
 
     // ------------------------------------------------------------------
@@ -215,55 +174,27 @@ impl PbpContext {
 
     /// Channel-wise NOT.
     pub fn not(&mut self, a: &Re) -> Re {
-        let period = a
-            .period
-            .iter()
-            .map(|r| Run { sym: self.not_sym(r.sym), len: r.len })
-            .collect();
-        self.build_re(period, a.reps)
+        let mut period = std::mem::take(&mut self.runs);
+        period.clear();
+        period.extend(a.period.iter().map(|r| Run { sym: self.not_sym(r.sym), len: r.len }));
+        let re = Self::build_re(&mut period, a.reps);
+        self.runs = period;
+        re
     }
 
     fn binop(&mut self, op: BinOp, a: &Re, b: &Re) -> Re {
         let total = self.total_chunks();
-        let pa = a.period_chunks();
-        let pb = b.period_chunks();
-        // Combined period: lcm of the operand periods; anything that does
-        // not divide the universe degenerates to the full universe.
-        let g = gcd(pa, pb);
-        let lcm = pa / g * pb;
-        let p = if lcm >= total || total % lcm != 0 { total } else { lcm };
-
-        let mut period = Vec::new();
-        let runs_a = a.period.decode();
-        let runs_b = b.period.decode();
-        let mut ia = RunCursor::new(&runs_a);
-        let mut ib = RunCursor::new(&runs_b);
-        let mut covered = 0u64;
-        let mut steps = 0u64;
-        while covered < p {
-            steps += 1;
-            assert!(
-                steps <= 1 << 22,
-                "RE operation result exceeds the single-level representation \
-                 budget ({} of {} chunks combined); operands with widely \
-                 mismatched small periods need nested REs (future work in \
-                 the paper, §5)",
-                covered,
-                p
-            );
-            let (sa, ra) = ia.current();
-            let (sb, rb) = ib.current();
-            let step = ra.min(rb).min(p - covered);
+        let mut period = std::mem::take(&mut self.runs);
+        period.clear();
+        let p = zip_periods(a, b, total, |sa, sb, step| {
             let sym = self.bin_sym(op, sa, sb);
             match period.last_mut() {
                 Some(Run { sym: s, len }) if *s == sym => *len += step,
                 _ => period.push(Run { sym, len: step }),
             }
-            ia.advance(step);
-            ib.advance(step);
-            covered += step;
-        }
-        let re = self.build_re(period, total / p);
+        });
+        let re = Self::build_re(&mut period, total / p);
+        self.runs = period;
         crate::telem::RE_GATES.inc();
         crate::telem::RE_COMPRESSION.record(total / re.storage_runs().max(1) as u64);
         crate::telem::RE_PACKED_WORDS.record(re.packed_words() as u64);
@@ -371,6 +302,17 @@ impl PbpContext {
         None
     }
 
+    /// Channels on which `a` and `b` differ: the population of `a XOR b`,
+    /// counted read-only from the zipped periods without building it.
+    pub(crate) fn re_toggles(&self, a: &Re, b: &Re) -> u64 {
+        let total = self.total_chunks();
+        let mut ones = 0u64;
+        let p = zip_periods(a, b, total, |sa, sb, step| {
+            ones += step * (self.pattern(sa) ^ self.pattern(sb)).count_ones() as u64;
+        });
+        ones * (total / p)
+    }
+
     /// Ones in one period.
     fn period_pop(&self, re: &Re) -> u64 {
         re.period
@@ -444,40 +386,96 @@ impl PbpContext {
     }
 }
 
-/// Cyclic cursor over a run list.
+/// Cyclic cursor streaming a period's runs straight off its packed words.
 struct RunCursor<'a> {
-    runs: &'a [Run],
-    idx: usize,
-    used: u64,
+    runs: Cycle<RunIter<'a>>,
+    sym: Sym,
+    /// Chunks left in the current run; `u64::MAX` for a single-run period.
+    left: u64,
 }
 
 impl<'a> RunCursor<'a> {
-    fn new(runs: &'a [Run]) -> Self {
-        RunCursor { runs, idx: 0, used: 0 }
+    fn new(period: &'a PackedRuns) -> Self {
+        let mut runs = period.iter().cycle();
+        let r = runs.next().expect("periods are never empty");
+        // A single-run period never changes symbol, so its span is
+        // unbounded — this is what keeps ops between a constant/`H(k<6)`
+        // pattern and a huge pattern O(runs) instead of O(universe).
+        let left = if period.runs() == 1 { u64::MAX } else { r.len };
+        RunCursor { runs, sym: r.sym, left }
     }
 
-    /// Current symbol and chunks remaining in its run. A single-run period
-    /// never changes symbol, so its remaining span is unbounded — this is
-    /// what keeps ops between a constant/`H(k<6)` pattern and a huge
-    /// pattern O(runs) instead of O(universe).
-    fn current(&self) -> (Sym, u64) {
-        let r = self.runs[self.idx];
-        if self.runs.len() == 1 {
-            return (r.sym, u64::MAX);
-        }
-        (r.sym, r.len - self.used)
-    }
-
+    /// Move `n` chunks on; `n` never exceeds `self.left`.
     fn advance(&mut self, n: u64) {
-        if self.runs.len() == 1 {
-            return; // single-run periods never change position meaningfully
+        if self.left == u64::MAX {
+            return;
         }
-        self.used += n;
-        while self.used >= self.runs[self.idx].len {
-            self.used -= self.runs[self.idx].len;
-            self.idx = (self.idx + 1) % self.runs.len();
+        self.left -= n;
+        if self.left == 0 {
+            let r = self.runs.next().expect("periods are never empty");
+            (self.sym, self.left) = (r.sym, r.len);
         }
     }
+}
+
+/// Walk the combined period of `a` and `b` — the lcm of their periods, or
+/// the whole universe of `total` chunks when that does not divide it — as
+/// maximal steps on which both hold one symbol, calling
+/// `f(sym_a, sym_b, chunks)` per step. Returns the combined period length.
+fn zip_periods(a: &Re, b: &Re, total: u64, mut f: impl FnMut(Sym, Sym, u64)) -> u64 {
+    let (pa, pb) = (a.period_chunks(), b.period_chunks());
+    let lcm = pa / gcd(pa, pb) * pb;
+    let p = if lcm >= total || !total.is_multiple_of(lcm) { total } else { lcm };
+    let (mut ia, mut ib) = (RunCursor::new(&a.period), RunCursor::new(&b.period));
+    let mut covered = 0u64;
+    let mut steps = 0u64;
+    while covered < p {
+        steps += 1;
+        assert!(
+            steps <= 1 << 22,
+            "RE operation result exceeds the single-level representation \
+             budget ({} of {} chunks combined); operands with widely \
+             mismatched small periods need nested REs (future work in \
+             the paper, §5)",
+            covered,
+            p
+        );
+        let step = ia.left.min(ib.left).min(p - covered);
+        f(ia.sym, ib.sym, step);
+        ia.advance(step);
+        ib.advance(step);
+        covered += step;
+    }
+    p
+}
+
+/// If the `half` chunks from the start of a merged run list repeat in the
+/// rest of it, cut the list to that first half and return `true`. Compares
+/// in place: the run straddling the half point, if any, is split only
+/// logically.
+fn halve(period: &mut Vec<Run>, half: u64) -> bool {
+    let (mut i, mut acc) = (0, 0);
+    while acc + period[i].len <= half {
+        acc += period[i].len;
+        i += 1;
+    }
+    // Chunks of run `i` that fall in the first half (0: on a boundary).
+    let cut = half - acc;
+    let straddle = period[i];
+    let first =
+        period[..i].iter().copied().chain((cut > 0).then_some(Run { len: cut, ..straddle }));
+    let second = std::iter::once(Run { len: straddle.len - cut, ..straddle })
+        .chain(period[i + 1..].iter().copied());
+    if !first.eq(second) {
+        return false;
+    }
+    if cut > 0 {
+        period[i].len = cut;
+        period.truncate(i + 1);
+    } else {
+        period.truncate(i);
+    }
+    true
 }
 
 fn gcd(mut a: u64, mut b: u64) -> u64 {
@@ -628,7 +626,7 @@ mod tests {
     #[test]
     fn sub_chunk_universe_measurements_respect_padding() {
         // ways < CHUNK_WAYS: the universe is smaller than one 64-bit
-        // chunk. The store interns masked chunks, so ALL must hold for
+        // chunk. The table interns masked chunks, so ALL must hold for
         // the masked ones value and nothing may leak from padding bits.
         for ways in [1u32, 3, 5] {
             let mut ctx = PbpContext::new(ways);
@@ -693,6 +691,32 @@ mod tests {
         assert_eq!(re.storage_runs(), 2);
         assert_eq!(re.period_chunks(), 2);
         assert_eq!(re.reps(), 32);
+    }
+
+    #[test]
+    fn period_reduction_cuts_inside_a_run() {
+        // (a b^2 a)^4 over 16 chunks merges to a b^2 a^2 b^2 a^2 b^2 a^2 b^2 a.
+        // The half points at chunks 8 and 4 fall inside an `a^2` run, and
+        // the halving stops at 4 chunks: there the halves `a b` and `b a`
+        // differ.
+        let mut ctx = PbpContext::new(10);
+        let (a, b) = (0x0123_4567_89AB_CDEF, 0xFEDC_BA98_7654_3210);
+        let mut v = Aob::zeros(10);
+        for (i, w) in v.words_mut().iter_mut().enumerate() {
+            *w = if matches!(i % 4, 1 | 2) { b } else { a };
+        }
+        let re = ctx.from_aob(&v);
+        assert_eq!(re.reps(), 4);
+        assert_eq!(re.period_chunks(), 4);
+        assert_eq!(re.storage_runs(), 3);
+        let (sa, sb) = (ctx.sym(a), ctx.sym(b));
+        let runs: Vec<Run> = re.period.iter().collect();
+        assert_eq!(
+            runs,
+            [Run { sym: sa, len: 1 }, Run { sym: sb, len: 2 }, Run { sym: sa, len: 1 }]
+        );
+        assert_eq!(ctx.re_notation(&re), format!("(s{sa} s{sb}^2 s{sa})^4"));
+        assert_eq!(ctx.to_aob(&re), v);
     }
 
     #[test]

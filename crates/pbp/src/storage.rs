@@ -7,8 +7,8 @@
 //! Hadamard initializers, and anything a gate DAG builds from them — keep
 //! short packed periods, so the backend supports `ways` all the way to
 //! [`SparseReFile::MAX_WAYS`] (32) without ever allocating a
-//! multi-megabit vector, and down to 1 way on a padding-masked
-//! single-chunk store.
+//! multi-megabit vector, and down to 1 way on padding-masked
+//! single-chunk symbols.
 //!
 //! The measurement family (`meas` / `next` / `pop`) walks runs directly,
 //! which is what keeps the hot path materialization-free;
@@ -44,8 +44,8 @@ pub struct SparseReFile {
 
 impl SparseReFile {
     /// Smallest supported entanglement degree. Sub-chunk universes
-    /// (`ways <` [`crate::CHUNK_WAYS`]) run on a padding-masked
-    /// single-chunk store, so the floor is the PBP context's own.
+    /// (`ways <` [`crate::CHUNK_WAYS`]) run on padding-masked
+    /// single-chunk symbols, so the floor is the PBP context's own.
     pub const MIN_WAYS: u32 = crate::MIN_UNIVERSE_WAYS;
 
     /// Largest supported entanglement degree. The packed-RLE periods keep
@@ -84,14 +84,11 @@ impl SparseReFile {
         if !meter {
             return WriteDelta::default();
         }
-        // O(runs): toggles via an XOR symbol, net delta via populations.
-        // The XOR needs `&mut ctx`, but metering must not mutate shared
-        // state observed by callers, so work on a context clone — metering
-        // is opt-in and off on every hot path.
-        let mut ctx = self.ctx.clone();
-        let x = ctx.xor(old, new);
+        // O(runs) and read-only: toggles from the zipped periods, the net
+        // delta from the populations.
+        let ctx = &self.ctx;
         WriteDelta {
-            toggles: ctx.re_pop_all(&x),
+            toggles: ctx.re_toggles(old, new),
             pop_delta: ctx.re_pop_all(new) as i64 - ctx.re_pop_all(old) as i64,
             writes: 1,
         }
@@ -221,27 +218,30 @@ mod tests {
     use super::*;
     use pbp_aob::storage::EagerFile;
 
+    /// Every gate once, in a fixed order.
+    const SWEEP: [GateAction; 17] = [
+        GateAction::Const(0, ConstKind::Hadamard(0)),
+        GateAction::Const(1, ConstKind::Hadamard(3)),
+        GateAction::Const(2, ConstKind::Hadamard(7)),
+        GateAction::Const(3, ConstKind::Ones),
+        GateAction::Bin(GateOp::And, 4, 0, 1),
+        GateAction::Bin(GateOp::Or, 5, 4, 2),
+        GateAction::Bin(GateOp::Xor, 6, 5, 0),
+        GateAction::Not(6),
+        GateAction::Bin(GateOp::Xor, 4, 4, 5), // cnot @4,@5
+        GateAction::Bin(GateOp::Xor, 4, 4, 4), // cnot @4,@4: clears
+        GateAction::Ccnot(5, 6, 0),
+        GateAction::Ccnot(5, 5, 5), // fully aliased
+        GateAction::Swap(4, 5),
+        GateAction::Cswap(5, 6, 1),
+        GateAction::Cswap(2, 2, 0), // aliased pair
+        GateAction::Const(3, ConstKind::Zeros),
+        GateAction::Const(3, ConstKind::Hadamard(200)), // out of range: zeros
+    ];
+
     /// Exercise every gate once, in a fixed order, on the given file.
     fn drive(f: &mut dyn AobStorage) {
-        for act in [
-            GateAction::Const(0, ConstKind::Hadamard(0)),
-            GateAction::Const(1, ConstKind::Hadamard(3)),
-            GateAction::Const(2, ConstKind::Hadamard(7)),
-            GateAction::Const(3, ConstKind::Ones),
-            GateAction::Bin(GateOp::And, 4, 0, 1),
-            GateAction::Bin(GateOp::Or, 5, 4, 2),
-            GateAction::Bin(GateOp::Xor, 6, 5, 0),
-            GateAction::Not(6),
-            GateAction::Bin(GateOp::Xor, 4, 4, 5), // cnot @4,@5
-            GateAction::Bin(GateOp::Xor, 4, 4, 4), // cnot @4,@4: clears
-            GateAction::Ccnot(5, 6, 0),
-            GateAction::Ccnot(5, 5, 5), // fully aliased
-            GateAction::Swap(4, 5),
-            GateAction::Cswap(5, 6, 1),
-            GateAction::Cswap(2, 2, 0), // aliased pair
-            GateAction::Const(3, ConstKind::Zeros),
-            GateAction::Const(3, ConstKind::Hadamard(200)), // out of range: zeros
-        ] {
+        for act in SWEEP {
             f.apply_action(act, false);
         }
     }
@@ -276,6 +276,34 @@ mod tests {
             assert_eq!(d1, WriteDelta { toggles: 256, pop_delta: 256, writes: 1 });
             let d2 = f.apply_action(GateAction::Not(0), true);
             assert_eq!(d2, WriteDelta { toggles: 256, pop_delta: -256, writes: 1 });
+        }
+        // Multi-run operands: `H(3) & H(7)` written over `H(7)` differs on
+        // the quarter of channels with bit 7 set and bit 3 clear. Then the
+        // whole sweep, metered write by write against eager.
+        for ways in [8u32, 10] {
+            let mut eager = EagerFile::new(ways, false);
+            let mut sparse = SparseReFile::try_new(ways, false).unwrap();
+            let setup = [
+                GateAction::Const(0, ConstKind::Hadamard(3)),
+                GateAction::Const(1, ConstKind::Hadamard(7)),
+                GateAction::Const(2, ConstKind::Hadamard(7)),
+            ];
+            for act in setup {
+                let want = eager.apply_action(act, true);
+                assert_eq!(sparse.apply_action(act, true), want, "ways {ways} {act:?}");
+            }
+            let and = GateAction::Bin(GateOp::And, 2, 0, 1);
+            let want = eager.apply_action(and, true);
+            let quarter = 1u64 << (ways - 2);
+            assert_eq!(
+                want,
+                WriteDelta { toggles: quarter, pop_delta: -(quarter as i64), writes: 1 }
+            );
+            assert_eq!(sparse.apply_action(and, true), want, "ways {ways}");
+            for act in SWEEP {
+                let want = eager.apply_action(act, true);
+                assert_eq!(sparse.apply_action(act, true), want, "ways {ways} {act:?}");
+            }
         }
     }
 
@@ -327,7 +355,7 @@ mod tests {
         let mut f = SparseReFile::try_new(32, true).unwrap(); // constant bank preloaded
         f.apply_action(GateAction::Bin(GateOp::And, 100, 2 + 5, 2 + 31), false); // H(5) & H(31)
         f.apply_action(GateAction::Bin(GateOp::Xor, 101, 100, 2 + 30), false);
-        f.apply_action(GateAction::Ccnot(101, 100, 2 + 0), false);
+        f.apply_action(GateAction::Ccnot(101, 100, 2), false); // H(0) is @2
         f.apply_action(GateAction::Not(101), false);
 
         let pop = f.pop_after(100, 0);
@@ -353,7 +381,7 @@ mod tests {
         // Work over the bank without touching reserved registers.
         f.apply_action(GateAction::Bin(GateOp::And, 100, 2 + 5, 2 + 19), false); // H(5) & H(19)
         f.apply_action(GateAction::Bin(GateOp::Xor, 101, 100, 2 + 18), false);
-        f.apply_action(GateAction::Ccnot(101, 100, 2 + 0), false);
+        f.apply_action(GateAction::Ccnot(101, 100, 2), false); // H(0) is @2
         f.apply_action(GateAction::Not(101), false);
 
         // Analytic spot checks: H(19) & H(5) has a 1 exactly where both

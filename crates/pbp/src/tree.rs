@@ -8,9 +8,9 @@
 //!
 //! This module answers that question for one natural realization: a pbit
 //! over `2^E` channels is a **perfect binary tree** of height `E − 6` whose
-//! leaves are interned chunk symbols ([`crate::Sym`] — ids into a shared
-//! [`pbp_aob::ChunkStore`], the same store type that backs the Qat register
-//! file), with *hash-consing* (identical subtrees share one node) and
+//! leaves are interned chunk symbols ([`crate::Sym`] — ids into the same
+//! flat word table that backs the RE layer), with *hash-consing*
+//! (identical subtrees share one node) and
 //! *memoized* gate operations. Any value whose structure repeats —
 //! Hadamards, their combinations, sparse predicates — collapses to
 //! `O(E)`–`O(polylog)` distinct nodes, and every gate op runs in time
@@ -26,8 +26,9 @@
 //! whose heights disagree) surface as a typed [`TreeError`] instead of a
 //! panic, so a bad gate program degrades gracefully.
 
+use crate::symbols::SymbolTable;
 use crate::{BinOp, PbpContext, Re, Sym};
-use pbp_aob::{Aob, ChunkStore, InternStats};
+use pbp_aob::{Aob, InternStats};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -93,8 +94,8 @@ pub struct TreeCtx {
     intern: HashMap<Node, TId>,
     /// Per-node population count (ones under this subtree).
     pops: Vec<u64>,
-    /// Hash-consed leaf chunks + memoized leaf gate kernels.
-    store: ChunkStore,
+    /// Interned leaf chunks (one 64-bit word per symbol).
+    symbols: SymbolTable,
     bin_memo: HashMap<(BinOp, TId, TId), TId>,
     not_memo: HashMap<TId, TId>,
 }
@@ -105,7 +106,7 @@ impl Default for TreeCtx {
             nodes: Vec::new(),
             intern: HashMap::new(),
             pops: Vec::new(),
-            store: ChunkStore::new(crate::CHUNK_WAYS),
+            symbols: SymbolTable::new(crate::CHUNK_WAYS),
             bin_memo: HashMap::new(),
             not_memo: HashMap::new(),
         }
@@ -123,9 +124,10 @@ impl TreeCtx {
         self.nodes.len()
     }
 
-    /// Cache counters of the backing chunk store.
+    /// Counters of the leaf symbol table (see
+    /// [`PbpContext::intern_stats`]).
     pub fn intern_stats(&self) -> InternStats {
-        self.store.stats()
+        self.symbols.stats()
     }
 
     fn intern_node(&mut self, n: Node) -> TId {
@@ -146,11 +148,11 @@ impl TreeCtx {
     /// The 64-bit word behind a leaf symbol.
     #[inline]
     fn pattern(&self, s: Sym) -> u64 {
-        self.store.aob(s).words()[0]
+        self.symbols.pattern(s)
     }
 
     fn leaf(&mut self, w: u64) -> TId {
-        let s = self.store.intern_word(w);
+        let s = self.symbols.sym(w);
         self.intern_node(Node::Leaf(s))
     }
 
@@ -173,14 +175,14 @@ impl TreeCtx {
 
     /// The constant pbit over `2^ways` channels.
     pub fn constant(&mut self, ways: u32, bit: bool) -> PTree {
-        assert!(ways >= crate::CHUNK_WAYS && ways <= 63, "ways out of range");
+        assert!((crate::CHUNK_WAYS..=63).contains(&ways), "ways out of range");
         let level = ways - crate::CHUNK_WAYS;
         PTree { root: self.uniform(if bit { u64::MAX } else { 0 }, level), level }
     }
 
     /// The Hadamard pattern `H(k)` over `2^ways` channels: `O(ways)` nodes.
     pub fn hadamard(&mut self, ways: u32, k: u32) -> PTree {
-        assert!(ways >= crate::CHUNK_WAYS && ways <= 63);
+        assert!((crate::CHUNK_WAYS..=63).contains(&ways));
         let level = ways - crate::CHUNK_WAYS;
         if k >= ways {
             return self.constant(ways, false);
@@ -247,7 +249,7 @@ impl TreeCtx {
         }
         let r = match (self.nodes[a as usize], self.nodes[b as usize]) {
             (Node::Leaf(x), Node::Leaf(y)) => {
-                let s = self.store.binop(op, x, y);
+                let s = self.symbols.bin(op, x, y);
                 self.leaf_sym(s)
             }
             (Node::Branch(al, ah), Node::Branch(bl, bh)) => {
@@ -298,7 +300,7 @@ impl TreeCtx {
         }
         let r = match self.nodes[id as usize] {
             Node::Leaf(s) => {
-                let n = self.store.not(s);
+                let n = self.symbols.not(s);
                 self.leaf_sym(n)
             }
             Node::Branch(lo, hi) => {

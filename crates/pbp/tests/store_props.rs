@@ -5,7 +5,7 @@
 //! compiles) — while any truncated or bit-flipped snapshot fails with a
 //! typed [`SnapshotError`] instead of a panic or a silently wrong store.
 
-use pbp_aob::{ChunkStore, GateOp, SnapshotError};
+use pbp_aob::{Aob, ChunkStore, GateOp, SnapshotError};
 use proptest::prelude::*;
 
 /// A random interning workload at a sub-chunk degree: words to intern
@@ -26,11 +26,19 @@ fn workload() -> impl Strategy<Value = Workload> {
     })
 }
 
+/// `word` as a one-word chunk of a `ways`-degree store (padding masked).
+fn chunk(ways: u32, word: u64) -> Aob {
+    let mut v = Aob::zeros(ways);
+    v.words_mut()[0] = word;
+    v.normalize();
+    v
+}
+
 /// Build the store: intern every word, then run every op (populating the
 /// memoized op cache). Returns the store and the ids each step produced.
 fn build(w: &Workload) -> (ChunkStore, Vec<pbp_aob::ChunkId>, Vec<pbp_aob::ChunkId>) {
     let mut s = ChunkStore::new(w.ways);
-    let interned: Vec<_> = w.words.iter().map(|&word| s.intern_word(word)).collect();
+    let interned: Vec<_> = w.words.iter().map(|&word| s.intern(chunk(w.ways, word))).collect();
     let op_ids: Vec<_> = w
         .ops
         .iter()
@@ -60,7 +68,7 @@ proptest! {
 
         // Same ChunkId resolution for every interned pattern...
         for (i, &word) in w.words.iter().enumerate() {
-            prop_assert_eq!(loaded.intern_word(word), interned[i]);
+            prop_assert_eq!(loaded.intern(chunk(w.ways, word)), interned[i]);
         }
         // ...and an op replay that answers entirely from the cache.
         loaded.reset_stats();

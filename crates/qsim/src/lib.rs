@@ -43,19 +43,27 @@ impl Complex {
         self.re * self.re + self.im * self.im
     }
 
-    /// Complex addition.
-    pub fn add(self, o: Complex) -> Complex {
-        Complex::new(self.re + o.re, self.im + o.im)
-    }
-
-    /// Complex subtraction.
-    pub fn sub(self, o: Complex) -> Complex {
-        Complex::new(self.re - o.re, self.im - o.im)
-    }
-
     /// Scale by a real factor.
     pub fn scale(self, k: f64) -> Complex {
         Complex::new(self.re * k, self.im * k)
+    }
+}
+
+impl std::ops::Add for Complex {
+    type Output = Complex;
+
+    /// Complex addition.
+    fn add(self, o: Complex) -> Complex {
+        Complex::new(self.re + o.re, self.im + o.im)
+    }
+}
+
+impl std::ops::Sub for Complex {
+    type Output = Complex;
+
+    /// Complex subtraction.
+    fn sub(self, o: Complex) -> Complex {
+        Complex::new(self.re - o.re, self.im - o.im)
     }
 }
 
@@ -570,8 +578,8 @@ mod complex_tests {
     fn arithmetic() {
         let a = Complex::new(1.0, 2.0);
         let b = Complex::new(3.0, -1.0);
-        assert_eq!(a.add(b), Complex::new(4.0, 1.0));
-        assert_eq!(a.sub(b), Complex::new(-2.0, 3.0));
+        assert_eq!(a + b, Complex::new(4.0, 1.0));
+        assert_eq!(a - b, Complex::new(-2.0, 3.0));
         assert_eq!(a.scale(2.0), Complex::new(2.0, 4.0));
         assert_eq!(a.norm_sqr(), 5.0);
         assert_eq!(Complex::ZERO.norm_sqr(), 0.0);

@@ -246,7 +246,7 @@ impl FlightRecorder {
                 st.recent.pop_front();
             }
             st.recent.push_back(result.id);
-            (self.cfg.interval > 0 && st.jobs % self.cfg.interval == 0).then(|| st.line())
+            (self.cfg.interval > 0 && st.jobs.is_multiple_of(self.cfg.interval)).then(|| st.line())
         };
         if let Some(line) = line {
             self.send_line(line);

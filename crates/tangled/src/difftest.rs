@@ -507,12 +507,9 @@ pub fn pbp_crosscheck(prog: &[Insn], ways: u32) -> Result<(), String> {
         }
     }
 
-    for r in 0..16 {
-        if gprs[r] != m.regs[r] {
-            return Err(format!(
-                "${r}: PBP says {:#06x}, machine says {:#06x}",
-                gprs[r], m.regs[r]
-            ));
+    for (r, (&pbp, &machine)) in gprs.iter().zip(&m.regs).enumerate() {
+        if pbp != machine {
+            return Err(format!("${r}: PBP says {pbp:#06x}, machine says {machine:#06x}"));
         }
     }
     for q in 0..256usize {

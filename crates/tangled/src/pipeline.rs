@@ -435,7 +435,7 @@ mod tests {
         let src = "had @1,0\nnot @1\nnot @1\nnot @1\nsys\n";
         let st = sim(src, four_fw()).run().unwrap();
         assert_eq!(st.data_stalls, 0);
-        assert_eq!(st.cycles, 4 + st.insns as u64 - 1);
+        assert_eq!(st.cycles, 4 + st.insns - 1);
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub fn metrics_json(doc: &MetricsDoc) -> String {
         out.push_str("\n  ");
     }
     out.push_str("},\n");
-    let _ = write!(out, "  \"mode\": \"{}\",\n", doc.mode.name());
+    let _ = writeln!(out, "  \"mode\": \"{}\",", doc.mode.name());
     out.push_str("  \"quantiles\": {");
     let mut first = true;
     for (name, q) in doc.snapshot.histogram_quantiles() {
@@ -105,9 +105,9 @@ pub fn metrics_json(doc: &MetricsDoc) -> String {
     }
     out.push_str("},\n");
     let _ = writeln!(out, "  \"schema\": \"{METRICS_SCHEMA}\",");
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  \"trace\": {{ \"dropped\": {}, \"events\": {} }}\n",
+        "  \"trace\": {{ \"dropped\": {}, \"events\": {} }}",
         doc.trace_dropped, doc.trace_events
     );
     out.push_str("}\n");
@@ -522,7 +522,7 @@ mod tests {
         static ISO_COUNTER: Counter = Counter::new("test.scoped.iso");
         with_mode(Mode::Counters, || {
             let stop = std::sync::atomic::AtomicBool::new(false);
-            let (captured, _) = std::thread::scope(|s| {
+            let (_, captured) = std::thread::scope(|s| {
                 s.spawn(|| {
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         ISO_COUNTER.add(1_000);
@@ -534,7 +534,7 @@ mod tests {
                 stop.store(true, std::sync::atomic::Ordering::Relaxed);
                 out
             });
-            let _ = captured;
+            assert_eq!(captured.get("test.scoped.iso"), 7);
             let (_, local) = crate::scoped(|| ISO_COUNTER.add(7));
             assert_eq!(local.get("test.scoped.iso"), 7);
         });

@@ -618,8 +618,8 @@ impl Snapshot {
                 continue;
             }
             let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-            for k in 0..HISTOGRAM_BUCKETS - 1 {
-                buckets[k] = self.get(&format!("{prefix}.le_{}", 1u64 << k));
+            for (k, b) in buckets[..HISTOGRAM_BUCKETS - 1].iter_mut().enumerate() {
+                *b = self.get(&format!("{prefix}.le_{}", 1u64 << k));
             }
             buckets[HISTOGRAM_BUCKETS - 1] = self.get(&format!("{prefix}.inf"));
             let count: u64 = buckets.iter().sum();

@@ -160,6 +160,31 @@ fn factoring_demo_runs_at_32_ways_on_sparse_re() {
     );
 }
 
+/// Factoring 221 at 32 ways on sparse-re (the `sparse32` benchmark
+/// program) pins the packed footprint and the symbol-id stream: the
+/// packed command words carry symbol ids, so 7,285 packed words and
+/// 11,284 symbols hold only while the RE layer issues its ids in the same
+/// order as a 6-way `ChunkStore`. Every one of the run's 71,525 symbol
+/// ops is either a hit or a miss.
+#[test]
+fn factor221_at_32_ways_on_sparse_re_keeps_its_packed_footprint() {
+    let words = tangled_qat::bench::assemble(&tangled_qat::bench::factor221_asm());
+    let mc = MachineConfig {
+        qat: QatConfig::with_backend(StorageBackend::SparseRe, 32),
+        ..Default::default()
+    };
+    let mut m = Machine::with_image(mc, &words);
+    m.run().expect("factor 221 at 32 ways on sparse-re");
+    assert!(m.halted);
+    assert_eq!((m.regs[0], m.regs[1]), (17, 13));
+    assert_eq!(m.qat.materializations(), 0);
+    let packed = m.qat.packed_stats().expect("sparse-re reports packed stats");
+    assert_eq!(packed.packed_words, 7_285);
+    let stats = m.qat.intern_stats().expect("sparse-re reports symbol stats");
+    assert_eq!(stats.chunks, 11_284);
+    assert_eq!(stats.hits + stats.misses, 71_525);
+}
+
 /// Packed-vs-eager equivalence pin at hardware degrees: a deterministic
 /// gate mix over the whole Table 3 set — including the aliased `cswap`
 /// corners — leaves bit-identical registers in the packed sparse-re file
@@ -197,7 +222,7 @@ fn packed_sparse_re_matches_eager_below_hw_max_ways() {
         let mut sparse =
             qat::QatCoprocessor::new(QatConfig::with_backend(StorageBackend::SparseRe, ways));
         for insn in prog(ways) {
-            eager.execute(insn.clone(), 0).unwrap();
+            eager.execute(insn, 0).unwrap();
             sparse.execute(insn, 0).unwrap();
         }
         for r in 0..8u8 {
