@@ -487,11 +487,6 @@ impl ChunkStore {
         self.binop(GateOp::Xor, a, b)
     }
 
-    /// `cnot @a,@b` = `xor @a,@a,@b` (§5's equivalence), memoized.
-    pub fn cnot(&mut self, a: ChunkId, b: ChunkId) -> ChunkId {
-        self.xor(a, b)
-    }
-
     /// `ccnot @a,@b,@c` = `a XOR (b AND c)`. When the control pair reduces
     /// algebraically the op collapses to a (memoized) XOR; otherwise it is
     /// a **single** ternary probe backed by the fused [`Aob::ccnot_of`]

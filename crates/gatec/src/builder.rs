@@ -1,43 +1,25 @@
 //! Word-level program builder: the pint API, recording gates.
 //!
-//! [`PintProgram`] mirrors the `pbp` crate's word-level operations but
-//! accumulates a netlist instead of evaluating — the "slightly modified to
-//! output the gate-level operations rather than to perform them" step of
-//! §4.1. Arithmetic decompositions (ripple-carry add, shift-and-add
-//! multiply, XNOR-AND equality) are deliberately identical to `pbp`'s, so
-//! the two paths can be differentially tested.
+//! [`PintProgram`] is a [`Pbits`] engine whose gates accumulate a netlist
+//! instead of evaluating — the "slightly modified to output the gate-level
+//! operations rather than to perform them" step of §4.1. The word ops
+//! (ripple-carry add, shift-and-add multiply, XNOR-AND equality, ...) are
+//! `pbp`'s own provided methods, so the compiled program and the RE
+//! evaluation come from one implementation.
+
+use std::convert::Infallible;
+
+use pbp::Pbits;
+use pbp_aob::GateOp;
 
 use crate::netlist::{Netlist, NodeId};
-
-/// A gate-level pattern integer: little-endian pbit nodes.
-#[derive(Debug, Clone)]
-pub struct GPint {
-    bits: Vec<NodeId>,
-}
-
-impl GPint {
-    /// Width in pbits.
-    pub fn width(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Node of bit `i`.
-    pub fn bit(&self, i: usize) -> NodeId {
-        self.bits[i]
-    }
-
-    /// All bit nodes, little-endian.
-    pub fn bits(&self) -> &[NodeId] {
-        &self.bits
-    }
-}
 
 /// A word-level program under construction.
 #[derive(Debug, Clone, Default)]
 pub struct PintProgram {
     nl: Netlist,
     outputs: Vec<(String, NodeId)>,
-    next_dim: u8,
+    next_dim: u32,
 }
 
 impl PintProgram {
@@ -79,111 +61,38 @@ impl PintProgram {
             .collect();
         (nl, outputs)
     }
+}
 
-    /// Constant `value` as a `width`-bit pint.
-    pub fn mk(&mut self, width: usize, value: u64) -> GPint {
-        let bits = (0..width)
-            .map(|i| self.nl.constant((value >> i) & 1 != 0))
-            .collect();
-        GPint { bits }
+impl Pbits for PintProgram {
+    type Bit = NodeId;
+    type Error = Infallible;
+
+    fn constant(&mut self, bit: bool) -> NodeId {
+        self.nl.constant(bit)
     }
 
-    /// Hadamard superposition over the channel dimensions named by `mask`
-    /// (the Figure 9 convention).
-    pub fn h(&mut self, width: usize, mask: u16) -> GPint {
-        let dims: Vec<u8> = (0..16u8).filter(|k| (mask >> k) & 1 != 0).collect();
-        assert_eq!(dims.len(), width, "mask must have exactly `width` set bits");
-        let bits = dims.into_iter().map(|k| self.nl.had(k)).collect();
-        GPint { bits }
+    fn hadamard(&mut self, k: u32) -> NodeId {
+        assert!(k < 16, "Hadamard channel-set is 4 bits");
+        self.nl.had(k as u8)
     }
 
-    /// Hadamard superposition over the next `width` fresh dimensions.
-    pub fn h_auto(&mut self, width: usize) -> GPint {
-        assert!(self.next_dim as usize + width <= 16, "out of entanglement dimensions");
+    fn gate(&mut self, op: GateOp, a: &NodeId, b: &NodeId) -> Result<NodeId, Infallible> {
+        Ok(match op {
+            GateOp::And => self.nl.and(*a, *b),
+            GateOp::Or => self.nl.or(*a, *b),
+            GateOp::Xor => self.nl.xor(*a, *b),
+        })
+    }
+
+    fn not(&mut self, a: &NodeId) -> NodeId {
+        self.nl.not(*a)
+    }
+
+    fn alloc_dims(&mut self, n: u32) -> u32 {
         let first = self.next_dim;
-        self.next_dim += width as u8;
-        let bits = (first..first + width as u8).map(|k| self.nl.had(k)).collect();
-        GPint { bits }
-    }
-
-    /// Zero-extend or truncate.
-    pub fn resize(&mut self, a: &GPint, width: usize) -> GPint {
-        let mut bits = a.bits.clone();
-        while bits.len() < width {
-            bits.push(self.nl.constant(false));
-        }
-        bits.truncate(width);
-        GPint { bits }
-    }
-
-    /// Bitwise AND.
-    pub fn and(&mut self, a: &GPint, b: &GPint) -> GPint {
-        assert_eq!(a.width(), b.width());
-        let bits = a.bits.iter().zip(&b.bits).map(|(&x, &y)| self.nl.and(x, y)).collect();
-        GPint { bits }
-    }
-
-    /// Bitwise XOR.
-    pub fn xor(&mut self, a: &GPint, b: &GPint) -> GPint {
-        assert_eq!(a.width(), b.width());
-        let bits = a.bits.iter().zip(&b.bits).map(|(&x, &y)| self.nl.xor(x, y)).collect();
-        GPint { bits }
-    }
-
-    /// Bitwise NOT.
-    pub fn not(&mut self, a: &GPint) -> GPint {
-        let bits = a.bits.iter().map(|&x| self.nl.not(x)).collect();
-        GPint { bits }
-    }
-
-    /// Ripple-carry addition (result one bit wider).
-    pub fn add(&mut self, a: &GPint, b: &GPint) -> GPint {
-        let w = a.width().max(b.width());
-        let a = self.resize(a, w);
-        let b = self.resize(b, w);
-        let mut carry = self.nl.constant(false);
-        let mut bits = Vec::with_capacity(w + 1);
-        for i in 0..w {
-            let (x, y) = (a.bits[i], b.bits[i]);
-            let xy = self.nl.xor(x, y);
-            let sum = self.nl.xor(xy, carry);
-            let and_xy = self.nl.and(x, y);
-            let and_cxy = self.nl.and(carry, xy);
-            carry = self.nl.or(and_xy, and_cxy);
-            bits.push(sum);
-        }
-        bits.push(carry);
-        GPint { bits }
-    }
-
-    /// Shift-and-add multiplication (exact, width `wa + wb`).
-    pub fn mul(&mut self, a: &GPint, b: &GPint) -> GPint {
-        let wr = a.width() + b.width();
-        let mut acc = self.mk(wr, 0);
-        for i in 0..b.width() {
-            let bi = b.bits[i];
-            let masked: Vec<NodeId> = a.bits.iter().map(|&x| self.nl.and(x, bi)).collect();
-            let mut shifted: Vec<NodeId> = (0..i).map(|_| self.nl.constant(false)).collect();
-            shifted.extend(masked);
-            let partial = self.resize(&GPint { bits: shifted }, wr);
-            let sum = self.add(&acc, &partial);
-            acc = self.resize(&sum, wr);
-        }
-        acc
-    }
-
-    /// Equality → single pbit node.
-    pub fn eq(&mut self, a: &GPint, b: &GPint) -> NodeId {
-        let w = a.width().max(b.width());
-        let a = self.resize(a, w);
-        let b = self.resize(b, w);
-        let mut acc = self.nl.constant(true);
-        for i in 0..w {
-            let x = self.nl.xor(a.bits[i], b.bits[i]);
-            let eq = self.nl.not(x);
-            acc = self.nl.and(acc, eq);
-        }
-        acc
+        assert!(first + n <= 16, "out of entanglement dimensions");
+        self.next_dim += n;
+        first
     }
 }
 
@@ -195,9 +104,9 @@ mod tests {
     fn word_ops_evaluate_correctly() {
         // Build (b + 3) on 4-bit b = H over dims 0..3; check via AoB eval.
         let mut p = PintProgram::new();
-        let b = p.h(4, 0x0F);
-        let three = p.mk(4, 3);
-        let s = p.add(&b, &three);
+        let b = p.pint_h(4, 0x0F);
+        let three = p.pint_mk(4, 3);
+        let Ok(s) = p.pint_add(&b, &three);
         let roots: Vec<NodeId> = s.bits().to_vec();
         let vals = p.netlist().evaluate_aob(8, &roots);
         for e in 0..256u64 {
@@ -212,11 +121,11 @@ mod tests {
     #[test]
     fn mul_and_eq_match_semantics() {
         let mut p = PintProgram::new();
-        let b = p.h(4, 0x0F);
-        let c = p.h(4, 0xF0);
-        let d = p.mul(&b, &c);
-        let fifteen = p.mk(4, 15);
-        let e = p.eq(&d, &fifteen);
+        let b = p.pint_h(4, 0x0F);
+        let c = p.pint_h(4, 0xF0);
+        let Ok(d) = p.pint_mul(&b, &c);
+        let fifteen = p.pint_mk(4, 15);
+        let Ok(e) = p.pint_eq(&d, &fifteen);
         let vals = p.netlist().evaluate_aob(8, &[e]);
         for ch in 0..256u64 {
             let want = (ch & 0xF) * (ch >> 4) == 15;
@@ -227,18 +136,8 @@ mod tests {
     #[test]
     fn optimizer_shrinks_gate_count() {
         // The same program built with and without optimization.
-        let build = |mut p: PintProgram| {
-            let b = p.h(4, 0x0F);
-            let c = p.h(4, 0xF0);
-            let d = p.mul(&b, &c);
-            let n = p.mk(4, 15);
-            let e = p.eq(&d, &n);
-            p.output("e", e);
-            let (nl, _) = p.optimized();
-            nl.len()
-        };
-        let opt = build(PintProgram::new());
-        let unopt = build(PintProgram::new_unoptimized());
+        let build = |opt| crate::factor::build_factoring(15, 4, opt).optimized().0.len();
+        let (opt, unopt) = (build(true), build(false));
         assert!(
             opt * 2 < unopt,
             "optimization should at least halve the netlist: {opt} vs {unopt}"
@@ -248,9 +147,9 @@ mod tests {
     #[test]
     fn optimized_and_unoptimized_agree_semantically() {
         let build = |mut p: PintProgram| {
-            let b = p.h(3, 0b111);
-            let c = p.h(3, 0b111000);
-            let s = p.add(&b, &c);
+            let b = p.pint_h(3, 0b111);
+            let c = p.pint_h(3, 0b111000);
+            let Ok(s) = p.pint_add(&b, &c);
             let roots: Vec<NodeId> = s.bits().to_vec();
             p.netlist().evaluate_aob(6, &roots)
         };
@@ -260,8 +159,8 @@ mod tests {
     #[test]
     fn h_auto_allocates_disjoint_dims() {
         let mut p = PintProgram::new();
-        let a = p.h_auto(4);
-        let b = p.h_auto(4);
+        let a = p.pint_h_auto(4);
+        let b = p.pint_h_auto(4);
         let ra: Vec<NodeId> = a.bits().to_vec();
         let rb: Vec<NodeId> = b.bits().to_vec();
         // Evaluate: a tracks low nibble, b high nibble.

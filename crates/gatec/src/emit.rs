@@ -100,12 +100,13 @@ mod tests {
     use super::*;
     use crate::builder::PintProgram;
     use crate::regalloc::{allocate, AllocStrategy};
+    use pbp::Pbits;
 
     fn simple_program() -> PintProgram {
         let mut p = PintProgram::new();
-        let a = p.h(2, 0b01 | 0b10);
-        let b = p.mk(2, 3);
-        let e = p.eq(&a, &b);
+        let a = p.pint_h(2, 0b01 | 0b10);
+        let b = p.pint_mk(2, 3);
+        let Ok(e) = p.pint_eq(&a, &b);
         p.output("e", e);
         p
     }
@@ -141,9 +142,9 @@ mod tests {
     fn not_uses_in_place_form_when_register_reused() {
         // With linear scan, a NOT whose input dies gets the in-place form.
         let mut p = PintProgram::new();
-        let a = p.h(1, 0b1);
-        let n = p.not(&a);
-        p.output("n", n.bit(0));
+        let a = p.pint_h(1, 0b1);
+        let n = p.pint_not(&a);
+        p.output("n", *n.bit(0));
         let (nl, outs) = p.optimized();
         let opts = EmitOptions::default();
         let alloc = allocate(&nl, &outs, AllocStrategy::LinearScanReuse, &opts).unwrap();

@@ -1,6 +1,8 @@
 //! Prime-factoring program generation (paper §4) and the verbatim
 //! Figure 10 listing.
 
+use pbp::Pbits;
+
 use crate::builder::PintProgram;
 use crate::emit::EmitResult;
 use crate::regalloc::RegAllocError;
@@ -26,11 +28,11 @@ pub fn build_factoring(n: u64, width: usize, optimized: bool) -> PintProgram {
     assert!(width <= 8, "two operands need 2*width ≤ 16 dimensions");
     assert!(n < (1 << width), "n must fit the operand width");
     let mut p = if optimized { PintProgram::new() } else { PintProgram::new_unoptimized() };
-    let b = p.h_auto(width);
-    let c = p.h_auto(width);
-    let d = p.mul(&b, &c);
-    let target = p.mk(width, n);
-    let e = p.eq(&d, &target);
+    let b = p.pint_h_auto(width);
+    let c = p.pint_h_auto(width);
+    let Ok(d) = p.pint_mul(&b, &c);
+    let target = p.pint_mk(width, n);
+    let Ok(e) = p.pint_eq(&d, &target);
     p.output("e", e);
     p
 }

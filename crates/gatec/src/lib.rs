@@ -6,10 +6,10 @@
 //! rather than to perform them". This crate rebuilds that pipeline as a
 //! proper compiler:
 //!
-//! 1. **Build**: a word-level [`PintProgram`] (same operations as the
-//!    `pbp` crate's pint API) records a gate **netlist** instead of
-//!    evaluating — Hadamard leaves, constants, and `AND`/`OR`/`XOR`/`NOT`
-//!    over single pbits.
+//! 1. **Build**: a word-level [`PintProgram`] runs the `pbp` crate's pint
+//!    algorithm (it is a [`pbp::Pbits`] engine) but records a gate
+//!    **netlist** instead of evaluating — Hadamard leaves, constants, and
+//!    `AND`/`OR`/`XOR`/`NOT` over single pbits.
 //! 2. **Optimize**: hash-consing (CSE), algebraic constant folding, and
 //!    dead-gate elimination — the aggressive bit-level optimization the
 //!    paper's ref \[2\] ("How Low Can You Go?") argues can cut gate counts
@@ -38,7 +38,7 @@ pub mod netlist;
 pub mod regalloc;
 pub mod verilog;
 
-pub use builder::{GPint, PintProgram};
+pub use builder::PintProgram;
 pub use emit::{emit_asm, EmitOptions, EmitResult};
 pub use netlist::{Gate, Netlist, NodeId};
 pub use regalloc::{allocate, AllocStrategy, Allocation, RegAllocError};

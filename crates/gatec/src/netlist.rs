@@ -368,19 +368,12 @@ mod tests {
 
     #[test]
     fn optimization_reduces_depth_too() {
-        let build = |mut p: crate::builder::PintProgram| {
-            let b = p.h(4, 0x0F);
-            let c = p.h(4, 0xF0);
-            let d = p.mul(&b, &c);
-            let n = p.mk(4, 15);
-            let e = p.eq(&d, &n);
-            p.output("e", e);
-            let (nl, outs) = p.optimized();
+        let build = |optimized| {
+            let (nl, outs) = crate::factor::build_factoring(15, 4, optimized).optimized();
             let roots: Vec<NodeId> = outs.iter().map(|(_, n)| *n).collect();
             nl.depth(&roots)
         };
-        let opt = build(crate::builder::PintProgram::new());
-        let unopt = build(crate::builder::PintProgram::new_unoptimized());
+        let (opt, unopt) = (build(true), build(false));
         assert!(opt <= unopt, "{opt} vs {unopt}");
         assert!(opt > 5, "a 4x4 multiplier has real depth");
     }
@@ -421,6 +414,7 @@ pub fn equivalent(
 mod equiv_tests {
     use super::*;
     use crate::builder::PintProgram;
+    use pbp::Pbits;
 
     fn roots(p: &PintProgram) -> (Netlist, Vec<NodeId>) {
         let (nl, outs) = p.optimized();
@@ -432,33 +426,22 @@ mod equiv_tests {
     fn optimized_equals_unoptimized_factoring() {
         // The ref \[2\] optimizations must be semantics-preserving; check
         // the complete factoring predicate both ways.
-        let build = |opt: bool| {
-            let mut p =
-                if opt { PintProgram::new() } else { PintProgram::new_unoptimized() };
-            let b = p.h(4, 0x0F);
-            let c = p.h(4, 0xF0);
-            let d = p.mul(&b, &c);
-            let n = p.mk(4, 15);
-            let e = p.eq(&d, &n);
-            p.output("e", e);
-            p
-        };
-        let (na, ra) = roots(&build(true));
-        let (nb, rb) = roots(&build(false));
+        let (na, ra) = roots(&crate::factor::build_factoring(15, 4, true));
+        let (nb, rb) = roots(&crate::factor::build_factoring(15, 4, false));
         assert!(equivalent((&na, &ra), (&nb, &rb), 8));
     }
 
     #[test]
     fn different_programs_are_distinguished() {
         let mut p1 = PintProgram::new();
-        let a = p1.h(2, 0b01 | 0b10);
-        let k = p1.mk(2, 3);
-        let e1 = p1.eq(&a, &k);
+        let a = p1.pint_h(2, 0b01 | 0b10);
+        let k = p1.pint_mk(2, 3);
+        let Ok(e1) = p1.pint_eq(&a, &k);
         p1.output("e", e1);
         let mut p2 = PintProgram::new();
-        let a = p2.h(2, 0b01 | 0b10);
-        let k = p2.mk(2, 2); // different constant
-        let e2 = p2.eq(&a, &k);
+        let a = p2.pint_h(2, 0b01 | 0b10);
+        let k = p2.pint_mk(2, 2); // different constant
+        let Ok(e2) = p2.pint_eq(&a, &k);
         p2.output("e", e2);
         let (na, ra) = roots(&p1);
         let (nb, rb) = roots(&p2);
@@ -468,12 +451,12 @@ mod equiv_tests {
     #[test]
     fn arity_mismatch_is_inequivalent() {
         let mut p1 = PintProgram::new();
-        let a = p1.h(2, 0b11);
-        p1.output("x", a.bit(0));
+        let a = p1.pint_h(2, 0b11);
+        p1.output("x", *a.bit(0));
         let mut p2 = PintProgram::new();
-        let b = p2.h(2, 0b11);
-        p2.output("x", b.bit(0));
-        p2.output("y", b.bit(1));
+        let b = p2.pint_h(2, 0b11);
+        p2.output("x", *b.bit(0));
+        p2.output("y", *b.bit(1));
         let (na, ra) = roots(&p1);
         let (nb, rb) = roots(&p2);
         assert!(!equivalent((&na, &ra), (&nb, &rb), 8));

@@ -170,16 +170,10 @@ pub fn allocate(
 mod tests {
     use super::*;
     use crate::builder::PintProgram;
+    use pbp::Pbits;
 
     fn factoring_netlist() -> (Netlist, Vec<(String, NodeId)>) {
-        let mut p = PintProgram::new();
-        let b = p.h(4, 0x0F);
-        let c = p.h(4, 0xF0);
-        let d = p.mul(&b, &c);
-        let n = p.mk(4, 15);
-        let e = p.eq(&d, &n);
-        p.output("e", e);
-        p.optimized()
+        crate::factor::build_factoring(15, 4, true).optimized()
     }
 
     #[test]
@@ -273,13 +267,14 @@ mod tests {
         // A chain of 300 XORs with all intermediates as outputs cannot fit
         // 256 registers greedily.
         let mut p = PintProgram::new();
-        let a = p.h(1, 0b1);
-        let b = p.h(1, 0b10);
-        let mut cur = p.xor(&a, &b);
+        let a = p.pint_h(1, 0b1);
+        let b = p.pint_h(1, 0b10);
+        let Ok(mut cur) = p.pint_xor(&a, &b);
         for i in 0..300 {
-            cur = p.xor(&cur, &a);
-            cur = p.xor(&cur, &b);
-            p.output(&format!("t{i}"), cur.bit(0));
+            let Ok(x) = p.pint_xor(&cur, &a);
+            let Ok(y) = p.pint_xor(&x, &b);
+            cur = y;
+            p.output(&format!("t{i}"), *cur.bit(0));
         }
         let (nl, outs) = p.optimized();
         let opts = EmitOptions::default();

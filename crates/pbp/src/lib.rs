@@ -26,7 +26,10 @@
 //!   `O(1)`-ish summaries of §2.7 even for huge universes.
 //! * The [`Pint`] word-level API reproduces the Figure 9 programming
 //!   model: `pint_mk`, `pint_h`, `pint_add`, `pint_mul`, `pint_eq`,
-//!   non-destructive `measure`.
+//!   non-destructive `measure`. The word ops are written once, as the
+//!   provided methods of the [`Pbits`] gate-set trait, which the RE
+//!   context, the nested [`TreeCtx`] and `gatec`'s netlist recorder
+//!   implement.
 //!
 //! The representation is differentially tested against the explicit
 //! [`pbp_aob::Aob`] substrate for universes small enough to expand.
@@ -41,10 +44,10 @@ pub(crate) mod telem;
 pub mod tree;
 
 pub use algos::Cnf;
-pub use pint::{MeasuredValue, Pint};
+pub use pint::{MeasuredValue, Pbits, Pint};
 pub use re::Re;
 pub use storage::SparseReFile;
-pub use tree::{PTree, TPint, TreeCtx, TreeError};
+pub use tree::{PTree, TreeCtx, TreeError};
 
 use pbp_aob::{ChunkId, GateOp, InternStats, WaysError};
 
@@ -169,22 +172,7 @@ impl PbpContext {
         self.symbols.not(a)
     }
 
-    /// Allocate `n` fresh entanglement-channel dimensions (the "disjoint
-    /// channels" discipline Figure 9's factoring depends on). Returns the
-    /// first dimension index.
-    pub fn alloc_dims(&mut self, n: u32) -> u32 {
-        let first = self.next_dim;
-        assert!(
-            first + n <= self.universe_ways,
-            "out of entanglement dimensions: {} + {n} > {}",
-            first,
-            self.universe_ways
-        );
-        self.next_dim += n;
-        first
-    }
-
-    /// Dimensions allocated so far.
+    /// Dimensions allocated so far ([`Pbits::alloc_dims`]).
     pub fn dims_used(&self) -> u32 {
         self.next_dim
     }

@@ -182,7 +182,7 @@ impl PbpContext {
         re
     }
 
-    fn binop(&mut self, op: BinOp, a: &Re, b: &Re) -> Re {
+    pub(crate) fn binop(&mut self, op: BinOp, a: &Re, b: &Re) -> Re {
         let total = self.total_chunks();
         let mut period = std::mem::take(&mut self.runs);
         period.clear();

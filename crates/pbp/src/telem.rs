@@ -14,7 +14,7 @@ pub static RE_PACKED_WORDS: Histogram = Histogram::new("pbp.re.packed.words");
 /// divided by packed command words (>= 1 means the packed form never
 /// loses to the flat-run baseline).
 pub static RE_PACKED_RATIO: Histogram = Histogram::new("pbp.re.packed.ratio");
-/// Tree builds from explicit values (`TreeCtx::from_aob` / `from_re`).
+/// Tree builds from explicit values (`TreeCtx::from_aob`).
 pub static TREE_BUILDS: Counter = Counter::new("pbp.tree.builds");
 /// Tree binop calls answered from the node memo table.
 pub static TREE_MEMO_HITS: Counter = Counter::new("pbp.tree.memo_hits");

@@ -16,19 +16,22 @@
 //! `O(E)`–`O(polylog)` distinct nodes, and every gate op runs in time
 //! proportional to the number of distinct node pairs, never `2^E`.
 //!
-//! Unlike the flat [`Re`] run-length form, this representation
+//! Unlike the flat [`crate::Re`] run-length form, this representation
 //! has no pathological operand pairs: `H(6) AND H(39)` at `E = 40` — which
 //! overflows the single-level encoding — is a handful of shared nodes here
 //! (demonstrated in the tests). Per-node population counts make `pop` O(1)
 //! after construction and `next` a single root-to-leaf descent.
 //!
-//! Malformed operands (trees over different universes, or foreign node ids
-//! whose heights disagree) surface as a typed [`TreeError`] instead of a
-//! panic, so a bad gate program degrades gracefully.
+//! A [`TreeCtx`] covers one universe, fixed when it is built, and runs the
+//! shared word-level algorithm through its [`Pbits`] gate set. Malformed
+//! operands (trees from a context over another universe, or foreign node
+//! ids whose heights disagree) surface as a typed [`TreeError`] instead of
+//! a panic, so a bad gate program degrades gracefully.
 
+use crate::pint::{Pbits, Pint};
 use crate::symbols::SymbolTable;
-use crate::{BinOp, PbpContext, Re, Sym};
-use pbp_aob::{Aob, InternStats};
+use crate::{BinOp, Sym};
+use pbp_aob::{Aob, InternStats, WaysError};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -87,9 +90,13 @@ impl PTree {
     }
 }
 
-/// Arena + memo tables for nested-pattern values.
+/// Arena + memo tables for nested-pattern values over one universe.
 #[derive(Debug)]
 pub struct TreeCtx {
+    /// log2 of the number of entanglement channels.
+    ways: u32,
+    /// Next unallocated entanglement-channel dimension.
+    next_dim: u32,
     nodes: Vec<Node>,
     intern: HashMap<Node, TId>,
     /// Per-node population count (ones under this subtree).
@@ -100,23 +107,32 @@ pub struct TreeCtx {
     not_memo: HashMap<TId, TId>,
 }
 
-impl Default for TreeCtx {
-    fn default() -> Self {
-        TreeCtx {
+impl TreeCtx {
+    /// Smallest supported universe: one chunk.
+    pub const MIN_WAYS: u32 = crate::CHUNK_WAYS;
+    /// Largest supported universe (channel numbers and populations are
+    /// `u64`).
+    pub const MAX_WAYS: u32 = 63;
+
+    /// A context whose universe has `2^ways` entanglement channels, or a
+    /// typed [`WaysError`] outside [`Self::MIN_WAYS`]`..=`[`Self::MAX_WAYS`].
+    pub fn new(ways: u32) -> Result<Self, WaysError> {
+        WaysError::check(ways, Self::MIN_WAYS, Self::MAX_WAYS)?;
+        Ok(TreeCtx {
+            ways,
+            next_dim: 0,
             nodes: Vec::new(),
             intern: HashMap::new(),
             pops: Vec::new(),
             symbols: SymbolTable::new(crate::CHUNK_WAYS),
             bin_memo: HashMap::new(),
             not_memo: HashMap::new(),
-        }
+        })
     }
-}
 
-impl TreeCtx {
-    /// Fresh context.
-    pub fn new() -> Self {
-        Self::default()
+    /// Tree level of this context's universe.
+    fn level(&self) -> u32 {
+        self.ways - crate::CHUNK_WAYS
     }
 
     /// Number of distinct nodes allocated — the storage measure.
@@ -125,7 +141,7 @@ impl TreeCtx {
     }
 
     /// Counters of the leaf symbol table (see
-    /// [`PbpContext::intern_stats`]).
+    /// [`crate::PbpContext::intern_stats`]).
     pub fn intern_stats(&self) -> InternStats {
         self.symbols.stats()
     }
@@ -171,38 +187,6 @@ impl TreeCtx {
             id = self.branch(id, id);
         }
         id
-    }
-
-    /// The constant pbit over `2^ways` channels.
-    pub fn constant(&mut self, ways: u32, bit: bool) -> PTree {
-        assert!((crate::CHUNK_WAYS..=63).contains(&ways), "ways out of range");
-        let level = ways - crate::CHUNK_WAYS;
-        PTree { root: self.uniform(if bit { u64::MAX } else { 0 }, level), level }
-    }
-
-    /// The Hadamard pattern `H(k)` over `2^ways` channels: `O(ways)` nodes.
-    pub fn hadamard(&mut self, ways: u32, k: u32) -> PTree {
-        assert!((crate::CHUNK_WAYS..=63).contains(&ways));
-        let level = ways - crate::CHUNK_WAYS;
-        if k >= ways {
-            return self.constant(ways, false);
-        }
-        if k < crate::CHUNK_WAYS {
-            return PTree {
-                root: self.uniform(pbp_aob::hadamard::LANE[k as usize], level),
-                level,
-            };
-        }
-        // Below the split level the subtree is uniform 0 (lo) / 1 (hi);
-        // above it, both halves repeat the same structure.
-        let split = k - crate::CHUNK_WAYS; // level whose children differ
-        let lo = self.uniform(0, split);
-        let hi = self.uniform(u64::MAX, split);
-        let mut id = self.branch(lo, hi);
-        for _ in (split + 1)..level {
-            id = self.branch(id, id);
-        }
-        PTree { root: id, level }
     }
 
     /// Import an explicit AoB value.
@@ -263,35 +247,19 @@ impl TreeCtx {
         Ok(r)
     }
 
-    fn check(a: &PTree, b: &PTree) -> Result<(), TreeError> {
-        if a.level == b.level {
-            Ok(())
-        } else {
-            Err(TreeError::UniverseMismatch { a_ways: a.ways(), b_ways: b.ways() })
-        }
-    }
-
     /// Channel-wise AND.
     pub fn and(&mut self, a: &PTree, b: &PTree) -> Result<PTree, TreeError> {
-        Self::check(a, b)?;
-        Ok(PTree { root: self.binop(BinOp::And, a.root, b.root)?, level: a.level })
+        self.gate(BinOp::And, a, b)
     }
 
     /// Channel-wise OR.
     pub fn or(&mut self, a: &PTree, b: &PTree) -> Result<PTree, TreeError> {
-        Self::check(a, b)?;
-        Ok(PTree { root: self.binop(BinOp::Or, a.root, b.root)?, level: a.level })
+        self.gate(BinOp::Or, a, b)
     }
 
     /// Channel-wise XOR.
     pub fn xor(&mut self, a: &PTree, b: &PTree) -> Result<PTree, TreeError> {
-        Self::check(a, b)?;
-        Ok(PTree { root: self.binop(BinOp::Xor, a.root, b.root)?, level: a.level })
-    }
-
-    /// Channel-wise NOT (structurally infallible).
-    pub fn not(&mut self, a: &PTree) -> PTree {
-        PTree { root: self.not_rec(a.root), level: a.level }
+        self.gate(BinOp::Xor, a, b)
     }
 
     fn not_rec(&mut self, id: TId) -> TId {
@@ -381,43 +349,128 @@ impl TreeCtx {
         }
     }
 
-    /// Convert a flat RE value into tree form (via channels; test helper
-    /// for cross-representation checks on small universes).
-    pub fn from_re(&mut self, ctx: &PbpContext, re: &Re) -> PTree {
-        self.from_aob(&ctx.to_aob(re))
+    /// The value of a pint in one channel (descents only).
+    pub fn pint_value_at(&self, p: &Pint<PTree>, e: u64) -> u64 {
+        p.bits().iter().enumerate().map(|(i, b)| (self.get(b, e) as u64) << i).sum()
+    }
+
+    /// The distinct values of `p` on the 1-channels of `mask`, via `next`
+    /// chaining — O(answers × height), never O(2^E). Capped at `limit`.
+    pub fn pint_measure_where(&self, p: &Pint<PTree>, mask: &PTree, limit: usize) -> Vec<u64> {
+        let mut out = std::collections::BTreeSet::new();
+        if self.get(mask, 0) {
+            out.insert(self.pint_value_at(p, 0));
+        }
+        let mut e = 0u64;
+        while out.len() < limit {
+            let Some(nx) = self.next(mask, e) else { break };
+            out.insert(self.pint_value_at(p, nx));
+            e = nx;
+        }
+        out.into_iter().collect()
+    }
+}
+
+impl Pbits for TreeCtx {
+    type Bit = PTree;
+    type Error = TreeError;
+
+    /// The constant pbit: `O(ways)` nodes.
+    fn constant(&mut self, bit: bool) -> PTree {
+        let level = self.level();
+        PTree { root: self.uniform(if bit { u64::MAX } else { 0 }, level), level }
+    }
+
+    /// The Hadamard pattern `H(k)`: `O(ways)` nodes, all-zeros for
+    /// `k ≥ ways`.
+    fn hadamard(&mut self, k: u32) -> PTree {
+        let level = self.level();
+        if k >= self.ways {
+            return self.constant(false);
+        }
+        if k < crate::CHUNK_WAYS {
+            return PTree {
+                root: self.uniform(pbp_aob::hadamard::LANE[k as usize], level),
+                level,
+            };
+        }
+        // Below the split level the subtree is uniform 0 (lo) / 1 (hi);
+        // above it, both halves repeat the same structure.
+        let split = k - crate::CHUNK_WAYS; // level whose children differ
+        let lo = self.uniform(0, split);
+        let hi = self.uniform(u64::MAX, split);
+        let mut id = self.branch(lo, hi);
+        for _ in (split + 1)..level {
+            id = self.branch(id, id);
+        }
+        PTree { root: id, level }
+    }
+
+    /// A binary gate; operands over different universes are a
+    /// [`TreeError::UniverseMismatch`].
+    fn gate(&mut self, op: BinOp, a: &PTree, b: &PTree) -> Result<PTree, TreeError> {
+        if a.level != b.level {
+            return Err(TreeError::UniverseMismatch { a_ways: a.ways(), b_ways: b.ways() });
+        }
+        Ok(PTree { root: self.binop(op, a.root, b.root)?, level: a.level })
+    }
+
+    /// Channel-wise NOT (structurally infallible).
+    fn not(&mut self, a: &PTree) -> PTree {
+        PTree { root: self.not_rec(a.root), level: a.level }
+    }
+
+    fn alloc_dims(&mut self, n: u32) -> u32 {
+        let first = self.next_dim;
+        assert!(
+            first + n <= self.ways,
+            "out of entanglement dimensions: {first} + {n} > {}",
+            self.ways
+        );
+        self.next_dim += n;
+        first
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PbpContext;
 
     #[test]
     fn constants_and_hadamards_are_tiny() {
-        let mut t = TreeCtx::new();
-        let z = t.constant(40, false);
-        let o = t.constant(40, true);
+        let mut t = TreeCtx::new(40).unwrap();
+        let z = t.constant(false);
+        let o = t.constant(true);
         assert!(!t.any(&z));
         assert!(t.all(&o));
         // 2^40 channels in a few dozen shared nodes.
         for k in 0..40 {
-            let h = t.hadamard(40, k);
+            let h = t.hadamard(k);
             assert_eq!(t.pop_all(&h), 1u64 << 39, "k={k}");
         }
         assert!(t.node_count() < 1000, "{} nodes for 40 Hadamards at E=40", t.node_count());
     }
 
     #[test]
+    fn out_of_range_universe_is_a_typed_error() {
+        let err = TreeCtx::new(5).unwrap_err();
+        assert_eq!(err, WaysError { ways: 5, min: TreeCtx::MIN_WAYS, max: TreeCtx::MAX_WAYS });
+        assert!(TreeCtx::new(64).is_err());
+    }
+
+    #[test]
     fn matches_aob_semantics() {
-        let mut t = TreeCtx::new();
         for ways in [6u32, 8, 10] {
+            let mut t = TreeCtx::new(ways).unwrap();
             for k in 0..ways {
-                let h = t.hadamard(ways, k);
+                let h = t.hadamard(k);
                 assert_eq!(t.to_aob(&h), Aob::hadamard(ways, k), "ways={ways} k={k}");
             }
         }
-        let a = t.hadamard(9, 3);
-        let b = t.hadamard(9, 8);
+        let mut t = TreeCtx::new(9).unwrap();
+        let a = t.hadamard(3);
+        let b = t.hadamard(8);
         let (aa, ab) = (Aob::hadamard(9, 3), Aob::hadamard(9, 8));
         let and = t.and(&a, &b).unwrap();
         assert_eq!(t.to_aob(&and), Aob::and_of(&aa, &ab));
@@ -431,9 +484,9 @@ mod tests {
 
     #[test]
     fn measurement_matches_aob() {
-        let mut t = TreeCtx::new();
-        let a = t.hadamard(9, 2);
-        let b = t.hadamard(9, 7);
+        let mut t = TreeCtx::new(9).unwrap();
+        let a = t.hadamard(2);
+        let b = t.hadamard(7);
         let v = t.and(&a, &b).unwrap();
         let oracle = Aob::and_of(&Aob::hadamard(9, 2), &Aob::hadamard(9, 7));
         assert_eq!(t.pop_all(&v), oracle.pop_all());
@@ -453,7 +506,7 @@ mod tests {
             st ^= st << 17;
             st & 1 != 0
         });
-        let mut t = TreeCtx::new();
+        let mut t = TreeCtx::new(10).unwrap();
         let tr = t.from_aob(&v);
         assert_eq!(t.to_aob(&tr), v);
         assert_eq!(t.pop_all(&tr), v.pop_all());
@@ -461,9 +514,10 @@ mod tests {
 
     #[test]
     fn mismatched_universes_error_instead_of_panicking() {
-        let mut t = TreeCtx::new();
-        let small = t.hadamard(8, 3);
-        let large = t.hadamard(12, 3);
+        // One universe per context: the 12-way operand comes from another.
+        let mut t = TreeCtx::new(8).unwrap();
+        let small = t.hadamard(3);
+        let large = TreeCtx::new(12).unwrap().hadamard(3);
         assert_eq!(
             t.and(&small, &large),
             Err(TreeError::UniverseMismatch { a_ways: 8, b_ways: 12 })
@@ -481,10 +535,10 @@ mod tests {
         // structurally-inconsistent foreign root id (same claimed level,
         // different actual node height) and the gate must return
         // HeightMismatch, not abort the process.
-        let mut host = TreeCtx::new();
-        let good = host.hadamard(7, 6); // arena: leaf(0)=0, leaf(!0)=1, branch=2
-        let mut other = TreeCtx::new();
-        let foreign = other.constant(7, false); // arena: leaf(0)=0, branch(0,0)=1
+        let mut host = TreeCtx::new(7).unwrap();
+        let good = host.hadamard(6); // arena: leaf(0)=0, leaf(!0)=1, branch=2
+        let mut other = TreeCtx::new(7).unwrap();
+        let foreign = other.constant(false); // arena: leaf(0)=0, branch(0,0)=1
         // In `host`, node id 1 is a Leaf while `good.root` is a Branch.
         assert_eq!(host.and(&foreign, &good), Err(TreeError::HeightMismatch));
         assert_eq!(
@@ -500,10 +554,10 @@ mod tests {
     fn pathological_flat_re_case_is_easy_here() {
         // H(6) AND H(39) at E = 40: the flat single-level RE blows past its
         // representation budget; the nested tree handles it in O(E) nodes.
-        let mut t = TreeCtx::new();
+        let mut t = TreeCtx::new(40).unwrap();
         let before = t.node_count();
-        let a = t.hadamard(40, 6);
-        let b = t.hadamard(40, 39);
+        let a = t.hadamard(6);
+        let b = t.hadamard(39);
         let c = t.and(&a, &b).unwrap();
         assert!(t.node_count() - before < 150, "{} new nodes", t.node_count() - before);
         // Semantics: ones exactly where both bit 6 and bit 39 of e are set.
@@ -522,20 +576,20 @@ mod tests {
 
     #[test]
     fn hash_consing_shares_subtrees_across_values() {
-        let mut t = TreeCtx::new();
-        let h1 = t.hadamard(30, 10);
-        let h2 = t.hadamard(30, 10);
+        let mut t = TreeCtx::new(30).unwrap();
+        let h1 = t.hadamard(10);
+        let h2 = t.hadamard(10);
         assert_eq!(h1, h2); // literally the same node id
         let n1 = t.node_count();
-        let _h3 = t.hadamard(30, 11); // shares all the uniform subtrees
+        let _h3 = t.hadamard(11); // shares all the uniform subtrees
         assert!(t.node_count() - n1 < 40);
     }
 
     #[test]
     fn memoization_makes_repeated_ops_free() {
-        let mut t = TreeCtx::new();
-        let a = t.hadamard(32, 5);
-        let b = t.hadamard(32, 30);
+        let mut t = TreeCtx::new(32).unwrap();
+        let a = t.hadamard(5);
+        let b = t.hadamard(30);
         let c1 = t.and(&a, &b).unwrap();
         let nodes_after_first = t.node_count();
         let c2 = t.and(&a, &b).unwrap();
@@ -545,9 +599,9 @@ mod tests {
 
     #[test]
     fn gate_identities_hold_at_scale() {
-        let mut t = TreeCtx::new();
-        let a = t.hadamard(36, 7);
-        let b = t.hadamard(36, 33);
+        let mut t = TreeCtx::new(36).unwrap();
+        let a = t.hadamard(7);
+        let b = t.hadamard(33);
         // De Morgan at 2^36 channels, structurally.
         let and_ab = t.and(&a, &b).unwrap();
         let lhs = t.not(&and_ab);
@@ -563,9 +617,9 @@ mod tests {
     #[test]
     fn next_deep_descent() {
         // A single 1 at the very last channel of a 2^36 universe.
-        let mut t = TreeCtx::new();
-        let h = (0..36).fold(t.constant(36, true), |acc, k| {
-            let hk = t.hadamard(36, k);
+        let mut t = TreeCtx::new(36).unwrap();
+        let h = (0..36).fold(t.constant(true), |acc, k| {
+            let hk = t.hadamard(k);
             t.and(&acc, &hk).unwrap()
         });
         // acc = AND of all H(k) = 1 only where every bit set = last channel.
@@ -577,169 +631,35 @@ mod tests {
     }
 }
 
-// ---------------------------------------------------------------------
-// Word-level (pint) layer over nested trees: the full Figure 9 algorithm
-// at entanglement degrees beyond the paper's 16-way hardware.
-// ---------------------------------------------------------------------
-
-/// A superposed integer over nested-tree pbits (little-endian).
-#[derive(Debug, Clone)]
-pub struct TPint {
-    bits: Vec<PTree>,
-}
-
-impl TPint {
-    /// Width in pbits.
-    pub fn width(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Bit `i`.
-    pub fn bit(&self, i: usize) -> PTree {
-        self.bits[i]
-    }
-}
-
-impl TreeCtx {
-    /// Constant `value` as a `width`-pbit integer over `2^ways` channels.
-    pub fn tpint_mk(&mut self, ways: u32, width: usize, value: u64) -> TPint {
-        let bits = (0..width)
-            .map(|i| self.constant(ways, (value >> i) & 1 != 0))
-            .collect();
-        TPint { bits }
-    }
-
-    /// Hadamard superposition: bit `i` uses channel dimension `dims + i`.
-    pub fn tpint_h(&mut self, ways: u32, width: usize, first_dim: u32) -> TPint {
-        let bits = (0..width as u32)
-            .map(|i| self.hadamard(ways, first_dim + i))
-            .collect();
-        TPint { bits }
-    }
-
-    /// Zero-extend or truncate.
-    pub fn tpint_resize(&mut self, a: &TPint, width: usize) -> TPint {
-        let ways = a.bits[0].ways();
-        let mut bits = a.bits.clone();
-        while bits.len() < width {
-            bits.push(self.constant(ways, false));
-        }
-        bits.truncate(width);
-        TPint { bits }
-    }
-
-    /// Ripple-carry addition (one pbit wider). A malformed operand mix
-    /// (bits over different universes) surfaces as a [`TreeError`].
-    pub fn tpint_add(&mut self, a: &TPint, b: &TPint) -> Result<TPint, TreeError> {
-        let w = a.width().max(b.width());
-        let ways = a.bits[0].ways();
-        let a = self.tpint_resize(a, w);
-        let b = self.tpint_resize(b, w);
-        let mut carry = self.constant(ways, false);
-        let mut bits = Vec::with_capacity(w + 1);
-        for i in 0..w {
-            let (x, y) = (a.bits[i], b.bits[i]);
-            let xy = self.xor(&x, &y)?;
-            let sum = self.xor(&xy, &carry)?;
-            let and_xy = self.and(&x, &y)?;
-            let and_cxy = self.and(&carry, &xy)?;
-            carry = self.or(&and_xy, &and_cxy)?;
-            bits.push(sum);
-        }
-        bits.push(carry);
-        Ok(TPint { bits })
-    }
-
-    /// Shift-and-add multiplication (exact).
-    pub fn tpint_mul(&mut self, a: &TPint, b: &TPint) -> Result<TPint, TreeError> {
-        let ways = a.bits[0].ways();
-        let wr = a.width() + b.width();
-        let mut acc = self.tpint_mk(ways, wr, 0);
-        for i in 0..b.width() {
-            let bi = b.bits[i];
-            let mut masked = Vec::with_capacity(a.width());
-            for x in &a.bits {
-                masked.push(self.and(x, &bi)?);
-            }
-            let mut shifted: Vec<PTree> = (0..i).map(|_| self.constant(ways, false)).collect();
-            shifted.extend(masked);
-            let partial = self.tpint_resize(&TPint { bits: shifted }, wr);
-            let sum = self.tpint_add(&acc, &partial)?;
-            acc = self.tpint_resize(&sum, wr);
-        }
-        Ok(acc)
-    }
-
-    /// Equality → a single pbit.
-    pub fn tpint_eq(&mut self, a: &TPint, b: &TPint) -> Result<PTree, TreeError> {
-        let ways = a.bits[0].ways();
-        let w = a.width().max(b.width());
-        let a = self.tpint_resize(a, w);
-        let b = self.tpint_resize(b, w);
-        let mut acc = self.constant(ways, true);
-        for i in 0..w {
-            let x = self.xor(&a.bits[i], &b.bits[i])?;
-            let eq = self.not(&x);
-            acc = self.and(&acc, &eq)?;
-        }
-        Ok(acc)
-    }
-
-    /// Value of the integer in one channel (descents only).
-    pub fn tpint_value_at(&self, p: &TPint, e: u64) -> u64 {
-        p.bits
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (self.get(b, e) as u64) << i)
-            .sum()
-    }
-
-    /// Read the values of `p` on the 1-channels of `mask`, via `next`
-    /// chaining — O(answers × height), never O(2^E). Capped at `limit`.
-    pub fn tpint_measure_where(&self, p: &TPint, mask: &PTree, limit: usize) -> Vec<u64> {
-        let mut out = std::collections::BTreeSet::new();
-        if self.get(mask, 0) {
-            out.insert(self.tpint_value_at(p, 0));
-        }
-        let mut e = 0u64;
-        while out.len() < limit {
-            let Some(nx) = self.next(mask, e) else { break };
-            out.insert(self.tpint_value_at(p, nx));
-            e = nx;
-        }
-        out.into_iter().collect()
-    }
-}
-
 #[cfg(test)]
-mod tpint_tests {
+mod pint_tests {
     use super::*;
 
     #[test]
     fn arithmetic_matches_u64_per_channel() {
-        let mut t = TreeCtx::new();
-        let a = t.tpint_h(12, 4, 0);
-        let b = t.tpint_h(12, 4, 4);
-        let s = t.tpint_add(&a, &b).unwrap();
-        let m = t.tpint_mul(&a, &b).unwrap();
+        let mut t = TreeCtx::new(12).unwrap();
+        let a = t.pint_h_auto(4);
+        let b = t.pint_h_auto(4);
+        let s = t.pint_add(&a, &b).unwrap();
+        let m = t.pint_mul(&a, &b).unwrap();
         for e in (0..4096u64).step_by(37) {
             let (x, y) = (e & 0xF, (e >> 4) & 0xF);
-            assert_eq!(t.tpint_value_at(&s, e), x + y, "add e={e}");
-            assert_eq!(t.tpint_value_at(&m, e), x * y, "mul e={e}");
+            assert_eq!(t.pint_value_at(&s, e), x + y, "add e={e}");
+            assert_eq!(t.pint_value_at(&m, e), x * y, "mul e={e}");
         }
     }
 
     #[test]
     fn figure9_factoring_on_trees_at_16_way() {
         // Same algorithm, same answers as the flat engines.
-        let mut t = TreeCtx::new();
-        let n = t.tpint_mk(16, 8, 221);
-        let b = t.tpint_h(16, 8, 0);
-        let c = t.tpint_h(16, 8, 8);
-        let d = t.tpint_mul(&b, &c).unwrap();
-        let e = t.tpint_eq(&d, &n).unwrap();
+        let mut t = TreeCtx::new(16).unwrap();
+        let n = t.pint_mk(8, 221);
+        let b = t.pint_h_auto(8);
+        let c = t.pint_h_auto(8);
+        let d = t.pint_mul(&b, &c).unwrap();
+        let e = t.pint_eq(&d, &n).unwrap();
         assert_eq!(t.pop_all(&e), 4);
-        let factors = t.tpint_measure_where(&b, &e, 100);
+        let factors = t.pint_measure_where(&b, &e, 100);
         assert_eq!(factors, vec![1, 13, 17, 221]);
     }
 
@@ -749,53 +669,53 @@ mod tpint_tests {
         // 1,048,576 channels, beyond the 16-way Qat register and beyond
         // what the flat RE survives for this op mix. The nested trees
         // factor it symbolically.
-        let mut t = TreeCtx::new();
-        let n = t.tpint_mk(20, 10, 899);
-        let b = t.tpint_h(20, 10, 0);
-        let c = t.tpint_h(20, 10, 10);
-        let d = t.tpint_mul(&b, &c).unwrap();
-        let e = t.tpint_eq(&d, &n).unwrap();
+        let mut t = TreeCtx::new(20).unwrap();
+        let n = t.pint_mk(10, 899);
+        let b = t.pint_h_auto(10);
+        let c = t.pint_h_auto(10);
+        let d = t.pint_mul(&b, &c).unwrap();
+        let e = t.pint_eq(&d, &n).unwrap();
         assert_eq!(t.pop_all(&e), 4);
-        let factors = t.tpint_measure_where(&b, &e, 100);
+        let factors = t.pint_measure_where(&b, &e, 100);
         assert_eq!(factors, vec![1, 29, 31, 899]);
     }
 
     #[test]
     fn prime_detection_at_18_way() {
         // 509 is prime: only the trivial pairs (1,509),(509,1) satisfy.
-        let mut t = TreeCtx::new();
-        let n = t.tpint_mk(18, 9, 509);
-        let b = t.tpint_h(18, 9, 0);
-        let c = t.tpint_h(18, 9, 9);
-        let d = t.tpint_mul(&b, &c).unwrap();
-        let e = t.tpint_eq(&d, &n).unwrap();
+        let mut t = TreeCtx::new(18).unwrap();
+        let n = t.pint_mk(9, 509);
+        let b = t.pint_h_auto(9);
+        let c = t.pint_h_auto(9);
+        let d = t.pint_mul(&b, &c).unwrap();
+        let e = t.pint_eq(&d, &n).unwrap();
         assert_eq!(t.pop_all(&e), 2);
-        assert_eq!(t.tpint_measure_where(&b, &e, 100), vec![1, 509]);
+        assert_eq!(t.pint_measure_where(&b, &e, 100), vec![1, 509]);
     }
 
     #[test]
     fn mismatched_pint_operands_degrade_gracefully() {
         // A bad gate program mixing universes gets an Err from the whole
         // pint layer instead of aborting the simulator.
-        let mut t = TreeCtx::new();
-        let a = t.tpint_h(10, 4, 0);
-        let b = t.tpint_h(12, 4, 0);
-        assert!(matches!(t.tpint_add(&a, &b), Err(TreeError::UniverseMismatch { .. })));
-        assert!(matches!(t.tpint_mul(&a, &b), Err(TreeError::UniverseMismatch { .. })));
-        assert!(matches!(t.tpint_eq(&a, &b), Err(TreeError::UniverseMismatch { .. })));
+        let mut t = TreeCtx::new(10).unwrap();
+        let a = t.pint_h_auto(4);
+        let b = TreeCtx::new(12).unwrap().pint_h_auto(4);
+        assert!(matches!(t.pint_add(&a, &b), Err(TreeError::UniverseMismatch { .. })));
+        assert!(matches!(t.pint_mul(&a, &b), Err(TreeError::UniverseMismatch { .. })));
+        assert!(matches!(t.pint_eq(&a, &b), Err(TreeError::UniverseMismatch { .. })));
         // And the context still works for well-formed programs.
-        let ok = t.tpint_add(&a, &a).unwrap();
-        assert_eq!(t.tpint_value_at(&ok, 5), 2 * 5);
+        let ok = t.pint_add(&a, &a).unwrap();
+        assert_eq!(t.pint_value_at(&ok, 5), 2 * 5);
     }
 
     #[test]
     fn measure_where_empty_and_capped() {
-        let mut t = TreeCtx::new();
-        let b = t.tpint_h(10, 4, 0);
-        let never = t.constant(10, false);
-        assert!(t.tpint_measure_where(&b, &never, 100).is_empty());
-        let always = t.constant(10, true);
-        let capped = t.tpint_measure_where(&b, &always, 3);
+        let mut t = TreeCtx::new(10).unwrap();
+        let b = t.pint_h_auto(4);
+        let never = t.constant(false);
+        assert!(t.pint_measure_where(&b, &never, 100).is_empty());
+        let always = t.constant(true);
+        let capped = t.pint_measure_where(&b, &always, 3);
         assert_eq!(capped.len(), 3);
     }
 }

@@ -14,7 +14,7 @@
 //!
 //! Run with: `cargo run --example beyond_16_way`
 
-use tangled_qat::pbp::{PbpContext, TreeCtx};
+use tangled_qat::pbp::{Pbits, PbpContext, TreeCtx};
 
 fn main() {
     println!(
@@ -31,10 +31,10 @@ fn main() {
         let ab = ctx.and(&a, &b);
         let v = ctx.xor(&ab, &c);
 
-        let mut t = TreeCtx::new();
-        let ta = t.hadamard(e, 5);
-        let tb = t.hadamard(e, e - 1);
-        let tc = t.hadamard(e, e - 2);
+        let mut t = TreeCtx::new(e).expect("a supported degree");
+        let ta = t.hadamard(5);
+        let tb = t.hadamard(e - 1);
+        let tc = t.hadamard(e - 2);
         let tab = t.and(&ta, &tb).expect("same universe");
         let tv = t.xor(&tab, &tc).expect("same universe");
 
@@ -57,9 +57,9 @@ fn main() {
 
     println!("\nThe flat RE's single-level limit, and the tree lifting it:");
     // H(6) AND H(39) at E=40 over mismatched small/large periods.
-    let mut t = TreeCtx::new();
-    let a = t.hadamard(40, 6);
-    let b = t.hadamard(40, 39);
+    let mut t = TreeCtx::new(40).expect("a supported degree");
+    let a = t.hadamard(6);
+    let b = t.hadamard(39);
     let c = t.and(&a, &b).expect("same universe");
     println!(
         "  tree: H(6) & H(39) at E=40 -> {} nodes, pop = 2^38 = {}, first answer channel {}",
@@ -85,13 +85,13 @@ fn main() {
     // Finale: the full Figure 9 factoring algorithm at 20-way — beyond the
     // paper's 16-way hardware — entirely on nested patterns.
     println!("\nFactoring 899 with 10-bit operands (20-way, 1,048,576 channels):");
-    let mut t = TreeCtx::new();
-    let n = t.tpint_mk(20, 10, 899);
-    let b = t.tpint_h(20, 10, 0);
-    let c = t.tpint_h(20, 10, 10);
-    let d = t.tpint_mul(&b, &c).expect("same universe");
-    let e = t.tpint_eq(&d, &n).expect("same universe");
-    let factors = t.tpint_measure_where(&b, &e, 100);
+    let mut t = TreeCtx::new(20).expect("a supported degree");
+    let n = t.pint_mk(10, 899);
+    let b = t.pint_h(10, 0x3ff); // dims 0..10
+    let c = t.pint_h(10, 0x3ff << 10); // dims 10..20
+    let d = t.pint_mul(&b, &c).expect("same universe");
+    let e = t.pint_eq(&d, &n).expect("same universe");
+    let factors = t.pint_measure_where(&b, &e, 100);
     println!(
         "  factors {factors:?} from {} shared nodes ({} factor-pair channels)",
         t.node_count(),

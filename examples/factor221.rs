@@ -8,7 +8,7 @@
 use tangled_qat::asm::assemble;
 use tangled_qat::gatec::factor::compile_factoring;
 use tangled_qat::gatec::Compiler;
-use tangled_qat::pbp::PbpContext;
+use tangled_qat::pbp::{Pbits, PbpContext};
 use tangled_qat::qat::QatConfig;
 use tangled_qat::sim::{Machine, MachineConfig, PipelineConfig, PipelinedSim};
 
@@ -20,8 +20,8 @@ fn main() {
     let n = ctx.pint_mk(8, 221);
     let b = ctx.pint_h_auto(8); // dims 0..8
     let c = ctx.pint_h_auto(8); // dims 8..16
-    let d = ctx.pint_mul(&b, &c);
-    let e = ctx.pint_eq(&d, &n);
+    let Ok(d) = ctx.pint_mul(&b, &c);
+    let Ok(e) = ctx.pint_eq(&d, &n);
     let factors = ctx.pint_measure_where(&b, &e);
     println!("== PBP word level (16-way, 65,536 channels) ==");
     print!("factors of 221: ");

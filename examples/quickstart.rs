@@ -4,7 +4,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use tangled_qat::aob::Aob;
-use tangled_qat::pbp::{PbpContext, Pint};
+use tangled_qat::pbp::{Pbits, PbpContext, Pint};
 
 fn main() {
     // ------------------------------------------------------------------
@@ -25,13 +25,13 @@ fn main() {
     // ------------------------------------------------------------------
     println!("== Figure 9: pint word-level factoring of 15 ==");
     let mut ctx = PbpContext::new(8); // 8-way entanglement universe
-    let a = ctx.pint_mk(4, 15); //        pint a = pint_mk(4, 15);
-    let b = ctx.pint_h(4, 0x0f); //       pint b = pint_h(4, 0x0f);
-    let c = ctx.pint_h(4, 0xf0); //       pint c = pint_h(4, 0xf0);
-    let d = ctx.pint_mul(&b, &c); //      pint d = pint_mul(b, c);
-    let e = ctx.pint_eq(&d, &a); //       pint e = pint_eq(d, a);
+    let a = ctx.pint_mk(4, 15); //            pint a = pint_mk(4, 15);
+    let b = ctx.pint_h(4, 0x0f); //           pint b = pint_h(4, 0x0f);
+    let c = ctx.pint_h(4, 0xf0); //           pint c = pint_h(4, 0xf0);
+    let Ok(d) = ctx.pint_mul(&b, &c); //      pint d = pint_mul(b, c);
+    let Ok(e) = ctx.pint_eq(&d, &a); //       pint e = pint_eq(d, a);
     let e_pint = Pint::from_bits(vec![e.clone()]);
-    let f = ctx.pint_mul(&e_pint, &b); // pint f = pint_mul(e, b);
+    let Ok(f) = ctx.pint_mul(&e_pint, &b); // pint f = pint_mul(e, b);
 
     // pint_measure(f): non-destructive — reads ALL superposed values.
     print!("pint_measure(f) prints: ");

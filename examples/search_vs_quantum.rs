@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tangled_qat::pbp::PbpContext;
+use tangled_qat::pbp::{Pbits, PbpContext};
 use tangled_qat::qsim::{expected_runs_to_collect_all, runs_to_collect_all, QState};
 
 fn main() {
@@ -20,13 +20,13 @@ fn main() {
     // ------------------------------------------------------------------
     let mut ctx = PbpContext::new(8);
     let x = ctx.pint_h(8, 0x00FF); // x = 0..255, channel e carries x = e
-    let xx = ctx.pint_mul(&x, &x); // x^2   (16 bits)
+    let Ok(xx) = ctx.pint_mul(&x, &x); // x^2   (16 bits)
     let three = ctx.pint_mk(2, 3);
-    let x3 = ctx.pint_mul(&x, &three); // 3x (10 bits)
-    let sum = ctx.pint_add(&xx, &x3); // x^2 + 3x
+    let Ok(x3) = ctx.pint_mul(&x, &three); // 3x (10 bits)
+    let Ok(sum) = ctx.pint_add(&xx, &x3); // x^2 + 3x
     let sum8 = ctx.pint_resize(&sum, 8); // mod 256 = take low 8 pbits
     let target = ctx.pint_mk(8, 40);
-    let hit = ctx.pint_eq(&sum8, &target);
+    let Ok(hit) = ctx.pint_eq(&sum8, &target);
 
     let solutions: Vec<u64> = ctx
         .pint_measure_where(&x, &hit)

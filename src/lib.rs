@@ -21,14 +21,14 @@
 //! ## Factoring 15 the Figure 9 way
 //!
 //! ```
-//! use tangled_qat::pbp::PbpContext;
+//! use tangled_qat::pbp::{Pbits, PbpContext};
 //!
 //! let mut ctx = PbpContext::new(8);
 //! let n = ctx.pint_mk(4, 15);
 //! let b = ctx.pint_h(4, 0x0f);
 //! let c = ctx.pint_h(4, 0xf0);
-//! let d = ctx.pint_mul(&b, &c);
-//! let e = ctx.pint_eq(&d, &n);
+//! let Ok(d) = ctx.pint_mul(&b, &c);
+//! let Ok(e) = ctx.pint_eq(&d, &n);
 //! let factors: Vec<u64> =
 //!     ctx.pint_measure_where(&b, &e).into_iter().map(|v| v.value).collect();
 //! assert_eq!(factors, vec![1, 3, 5, 15]);
@@ -52,7 +52,7 @@ pub use tangled_telemetry as telemetry;
 /// Convenience prelude bringing the most-used types into scope.
 pub mod prelude {
     pub use gatec::{Compiler, PintProgram};
-    pub use pbp::{PbpContext, Pint};
+    pub use pbp::{Pbits, PbpContext, Pint};
     pub use pbp_aob::Aob;
     pub use qat_coproc::{QatConfig, QatCoprocessor};
     pub use tangled_asm::assemble;

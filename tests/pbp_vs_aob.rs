@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use tangled_qat::aob::Aob;
-use tangled_qat::pbp::PbpContext;
+use tangled_qat::pbp::{Pbits, PbpContext};
 
 /// Strategy: a random AoB of the given degree.
 pub fn aob(ways: u32) -> impl Strategy<Value = Aob> {
@@ -117,8 +117,8 @@ fn structured_values_compress_far_below_raw_size() {
     let n = ctx.pint_mk(8, 221);
     let b = ctx.pint_h_auto(8);
     let c = ctx.pint_h_auto(8);
-    let d = ctx.pint_mul(&b, &c);
-    let e = ctx.pint_eq(&d, &n);
+    let Ok(d) = ctx.pint_mul(&b, &c);
+    let Ok(e) = ctx.pint_eq(&d, &n);
     let explicit_bits = 65_536u64;
     let compressed_bits = (e.storage_runs() * 128) as u64; // ~16B/run
     assert!(
@@ -133,7 +133,7 @@ mod three_way {
     use super::aob;
     use proptest::prelude::*;
     use tangled_qat::aob::Aob;
-    use tangled_qat::pbp::{PbpContext, TreeCtx};
+    use tangled_qat::pbp::{Pbits, PbpContext, TreeCtx};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -146,10 +146,10 @@ mod three_way {
         ) {
             let ways = 9u32;
             let mut ctx = PbpContext::new(ways);
-            let mut tc = TreeCtx::new();
+            let mut tc = TreeCtx::new(ways).unwrap();
             let mut aobs: Vec<Aob> = (0..5).map(|k| Aob::hadamard(ways, k)).collect();
             let mut res: Vec<_> = (0..5).map(|k| ctx.hadamard(k)).collect();
-            let mut trees: Vec<_> = (0..5).map(|k| tc.hadamard(ways, k)).collect();
+            let mut trees: Vec<_> = (0..5).map(|k| tc.hadamard(k)).collect();
             for (op, i, j) in ops {
                 match op {
                     0 => {
@@ -187,7 +187,7 @@ mod three_way {
 
         #[test]
         fn tree_roundtrips_random_aob(a in aob(10)) {
-            let mut tc = TreeCtx::new();
+            let mut tc = TreeCtx::new(10).unwrap();
             let t = tc.from_aob(&a);
             prop_assert_eq!(tc.to_aob(&t), a.clone());
             prop_assert_eq!(tc.pop_all(&t), a.pop_all());

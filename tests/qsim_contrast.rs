@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tangled_qat::aob::Aob;
-use tangled_qat::pbp::PbpContext;
+use tangled_qat::pbp::{Pbits, PbpContext};
 use tangled_qat::qsim::{expected_runs_to_collect_all, runs_to_collect_all, QState};
 
 /// The factoring-of-15 answer channels (b | c<<4).
@@ -55,8 +55,8 @@ fn quantum_needs_many_runs_pbp_needs_one() {
     let n = ctx.pint_mk(4, 15);
     let b = ctx.pint_h_auto(4);
     let c = ctx.pint_h_auto(4);
-    let d = ctx.pint_mul(&b, &c);
-    let e = ctx.pint_eq(&d, &n);
+    let Ok(d) = ctx.pint_mul(&b, &c);
+    let Ok(e) = ctx.pint_eq(&d, &n);
     let factors = ctx.pint_measure_where(&b, &e);
     assert_eq!(factors.len(), 4); // all four, one pass
 }

@@ -5,14 +5,14 @@ use tangled_qat::prelude::*;
 
 #[test]
 fn readme_word_level_snippet() {
-    use tangled_qat::pbp::PbpContext;
+    use tangled_qat::pbp::{Pbits, PbpContext};
 
     let mut ctx = PbpContext::new(8); // 8-way entangled universe
     let a = ctx.pint_mk(4, 15); //       the constant 15
     let b = ctx.pint_h(4, 0x0f); //      0..15 superposed on channels 0-3
     let c = ctx.pint_h(4, 0xf0); //      0..15 superposed on channels 4-7
-    let d = ctx.pint_mul(&b, &c); //     all 256 products, at once
-    let e = ctx.pint_eq(&d, &a); //      a pbit: "b*c == 15"
+    let Ok(d) = ctx.pint_mul(&b, &c); // all 256 products, at once
+    let Ok(e) = ctx.pint_eq(&d, &a); //  a pbit: "b*c == 15"
     let values: Vec<u64> = ctx
         .pint_measure_where(&b, &e)
         .into_iter()
