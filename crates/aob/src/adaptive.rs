@@ -331,10 +331,6 @@ impl AobStorage for AdaptiveFile {
         self.file_mut().set(r, v);
     }
 
-    fn apply_action(&mut self, act: GateAction, meter: bool) -> WriteDelta {
-        self.gate_run(&[act], meter)
-    }
-
     fn gate_run(&mut self, actions: &[GateAction], meter: bool) -> WriteDelta {
         self.stats.gates += actions.len() as u64;
         if let Inner::Eager(p) = &mut self.inner {

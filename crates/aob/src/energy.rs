@@ -20,6 +20,7 @@
 //! can report the §5 trade-off quantitatively.
 
 use crate::bitvec::Aob;
+use crate::storage::WriteDelta;
 
 /// Global telemetry mirrors of the energy counters. Additive across all
 /// meters; `absorb` is deliberately not mirrored (the absorbed counts
@@ -61,21 +62,21 @@ impl EnergyMeter {
 
     /// Record one register update from `before` to `after`.
     pub fn record(&mut self, before: &Aob, after: &Aob) {
-        before.check_same_ways_pub(after);
-        let mut toggles = 0u64;
-        let mut pop_before = 0u64;
-        let mut pop_after = 0u64;
-        for (b, a) in before.words().iter().zip(after.words()) {
-            toggles += (b ^ a).count_ones() as u64;
-            pop_before += b.count_ones() as u64;
-            pop_after += a.count_ones() as u64;
-        }
-        self.toggles += toggles;
-        self.imbalance += pop_before.abs_diff(pop_after);
-        self.writes += 1;
-        telem::TOGGLES.add(toggles);
-        telem::IMBALANCE.add(pop_before.abs_diff(pop_after));
-        telem::WRITES.inc();
+        self.add(crate::storage::meter_delta(before, after));
+    }
+
+    /// Add one operation's register writes: the toggles, the magnitude of
+    /// its net population change, and the destinations written. Charging
+    /// each instruction's delta separately is what keeps imbalance per
+    /// instruction, so swap-family ops net zero.
+    pub fn add(&mut self, d: WriteDelta) {
+        let imbalance = d.pop_delta.unsigned_abs();
+        self.toggles += d.toggles;
+        self.imbalance += imbalance;
+        self.writes += d.writes;
+        telem::TOGGLES.add(d.toggles);
+        telem::IMBALANCE.add(imbalance);
+        telem::WRITES.add(d.writes);
     }
 
     /// Total energy under the chosen model.
@@ -95,21 +96,10 @@ impl EnergyMeter {
 }
 
 impl Aob {
-    /// Public re-export of the ways-compatibility assertion for use by the
-    /// energy meter (which lives outside `bitvec`).
-    #[inline]
-    pub fn check_same_ways_pub(&self, other: &Aob) {
-        assert_eq!(
-            self.ways(),
-            other.ways(),
-            "energy accounting requires same-degree operands"
-        );
-    }
-
     /// Hamming distance between two same-degree values — the toggle count
     /// if one overwrote the other.
     pub fn hamming(&self, other: &Aob) -> u64 {
-        self.check_same_ways_pub(other);
+        self.check_same_ways(other);
         self.words()
             .iter()
             .zip(other.words())

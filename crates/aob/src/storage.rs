@@ -274,25 +274,21 @@ pub trait AobStorage: std::fmt::Debug + Send {
     /// Directly set register `r` (test/loader backdoor).
     fn set(&mut self, r: usize, v: &Aob);
 
-    /// Execute one Table-3 gate ([`GateAction`] documents each one's
-    /// semantics). With [`AobStorage::gate_run`], the only mutating gate
-    /// entry of the trait.
-    fn apply_action(&mut self, act: GateAction, meter: bool) -> WriteDelta;
+    /// Execute a straight-line run of Table-3 gates ([`GateAction`]
+    /// documents each one's semantics), bit-for-bit as if each ran alone
+    /// in order. The trait's only mutating gate entry: interning backends
+    /// replay whole runs from a sequence cache, the eager file runs them
+    /// through its strip kernels. With `meter`, the delta sums every
+    /// gate's writes.
+    fn gate_run(&mut self, actions: &[GateAction], meter: bool) -> WriteDelta;
 
-    /// Execute a straight-line run of gates as one unit. The default is
-    /// the per-gate loop (bit-for-bit identical to stepping), so every
-    /// backend is fusion-correct for free; interning backends override
-    /// this to replay whole runs from a sequence cache.
-    fn gate_run(&mut self, actions: &[GateAction], meter: bool) -> WriteDelta {
-        let mut d = WriteDelta::default();
-        for &a in actions {
-            d.merge(self.apply_action(a, meter));
-        }
-        d
+    /// Execute one gate: a run of one.
+    fn apply_action(&mut self, act: GateAction, meter: bool) -> WriteDelta {
+        self.gate_run(&[act], meter)
     }
 
-    /// Whether handing this backend fused runs is worth the dispatcher's
-    /// scan (i.e. [`AobStorage::gate_run`] does better than the loop).
+    /// Whether handing this backend fused runs pays, i.e.
+    /// [`AobStorage::gate_run`] does better on a run than gate by gate.
     fn wants_fusion(&self) -> bool {
         false
     }
@@ -348,7 +344,8 @@ impl Clone for Box<dyn AobStorage> {
     }
 }
 
-fn meter_delta(old: &Aob, new: &Aob) -> WriteDelta {
+/// The delta of overwriting `old` with `new`.
+pub(crate) fn meter_delta(old: &Aob, new: &Aob) -> WriteDelta {
     WriteDelta {
         toggles: old.hamming(new),
         pop_delta: new.pop_all() as i64 - old.pop_all() as i64,
@@ -679,10 +676,6 @@ impl AobStorage for EagerFile {
         self.put(r, v.clone());
     }
 
-    fn apply_action(&mut self, act: GateAction, meter: bool) -> WriteDelta {
-        self.gate_run(&[act], meter)
-    }
-
     fn gate_run(&mut self, actions: &[GateAction], meter: bool) -> WriteDelta {
         if !meter {
             self.run_strips(actions);
@@ -807,26 +800,9 @@ impl InternedFile {
             meter_delta(self.store.aob(old), self.store.aob(id))
         }
     }
-}
 
-impl AobStorage for InternedFile {
-    fn backend(&self) -> StorageBackend {
-        StorageBackend::Interned
-    }
-
-    fn ways(&self) -> u32 {
-        self.store.ways()
-    }
-
-    fn read(&self, r: usize) -> Aob {
-        self.store.aob(self.ids[r]).clone()
-    }
-
-    fn set(&mut self, r: usize, v: &Aob) {
-        self.set_owned(r, v.clone());
-    }
-
-    fn apply_action(&mut self, act: GateAction, meter: bool) -> WriteDelta {
+    /// Execute one gate through the op cache.
+    fn gate(&mut self, act: GateAction, meter: bool) -> WriteDelta {
         match act {
             GateAction::Const(r, kind) => {
                 let id = match kind {
@@ -872,6 +848,24 @@ impl AobStorage for InternedFile {
             }
         }
     }
+}
+
+impl AobStorage for InternedFile {
+    fn backend(&self) -> StorageBackend {
+        StorageBackend::Interned
+    }
+
+    fn ways(&self) -> u32 {
+        self.store.ways()
+    }
+
+    fn read(&self, r: usize) -> Aob {
+        self.store.aob(self.ids[r]).clone()
+    }
+
+    fn set(&mut self, r: usize, v: &Aob) {
+        self.set_owned(r, v.clone());
+    }
 
     fn meas(&self, r: usize, e: u64) -> bool {
         self.store.aob(self.ids[r]).meas(e)
@@ -892,7 +886,7 @@ impl AobStorage for InternedFile {
         if meter || actions.len() < 2 {
             let mut d = WriteDelta::default();
             for &a in actions {
-                d.merge(self.apply_action(a, meter));
+                d.merge(self.gate(a, meter));
             }
             return d;
         }
@@ -924,9 +918,8 @@ impl AobStorage for InternedFile {
             self.store.credit_fused(actions.len() as u64);
             return WriteDelta::default();
         }
-        let mut d = WriteDelta::default();
         for &a in actions {
-            d.merge(self.apply_action(a, false));
+            self.gate(a, false);
         }
         let writes: Vec<(u8, ChunkId)> = (0..REG_COUNT)
             .filter(|&r| written[r])
@@ -936,7 +929,7 @@ impl AobStorage for InternedFile {
             self.runs.clear();
         }
         self.runs.insert(key, writes);
-        d
+        WriteDelta::default()
     }
 
     fn wants_fusion(&self) -> bool {

@@ -99,28 +99,9 @@ impl SparseReFile {
         self.regs[r] = v;
         d
     }
-}
 
-impl AobStorage for SparseReFile {
-    fn backend(&self) -> StorageBackend {
-        StorageBackend::SparseRe
-    }
-
-    fn ways(&self) -> u32 {
-        self.ctx.universe_ways()
-    }
-
-    fn read(&self, r: usize) -> Aob {
-        self.materializations.set(self.materializations.get() + 1);
-        MATERIALIZE.inc();
-        self.ctx.to_aob(&self.regs[r])
-    }
-
-    fn set(&mut self, r: usize, v: &Aob) {
-        self.regs[r] = self.ctx.from_aob(v);
-    }
-
-    fn apply_action(&mut self, act: GateAction, meter: bool) -> WriteDelta {
+    /// Execute one gate by RE rewriting.
+    fn gate(&mut self, act: GateAction, meter: bool) -> WriteDelta {
         match act {
             GateAction::Const(r, kind) => {
                 let v = match kind {
@@ -173,6 +154,34 @@ impl AobStorage for SparseReFile {
                 d
             }
         }
+    }
+}
+
+impl AobStorage for SparseReFile {
+    fn backend(&self) -> StorageBackend {
+        StorageBackend::SparseRe
+    }
+
+    fn ways(&self) -> u32 {
+        self.ctx.universe_ways()
+    }
+
+    fn read(&self, r: usize) -> Aob {
+        self.materializations.set(self.materializations.get() + 1);
+        MATERIALIZE.inc();
+        self.ctx.to_aob(&self.regs[r])
+    }
+
+    fn set(&mut self, r: usize, v: &Aob) {
+        self.regs[r] = self.ctx.from_aob(v);
+    }
+
+    fn gate_run(&mut self, actions: &[GateAction], meter: bool) -> WriteDelta {
+        let mut d = WriteDelta::default();
+        for &act in actions {
+            d.merge(self.gate(act, meter));
+        }
+        d
     }
 
     fn meas(&self, r: usize, e: u64) -> bool {

@@ -52,14 +52,12 @@ use tangled_isa::{Insn, QReg};
 
 pub use pbp_aob::StorageBackend;
 
-/// Global telemetry handles for gate dispatch and port/energy activity.
-///
-/// The `energy.*` names are shared with `pbp_aob::EnergyMeter`'s mirrors:
-/// the coprocessor's `meter_write` path bypasses `EnergyMeter::record`, so
-/// it reports to the same keys directly. The `qat.backend.*` namespace
-/// attributes Qat instructions to the storage backend that ran them (the
-/// sparse backend's `.materialize` counter lives with its implementation
-/// in the `pbp` crate, hence the `sparse_re` spelling).
+/// Global telemetry handles for gate dispatch and port activity (the
+/// `energy.*` counters are `pbp_aob::EnergyMeter`'s own). The
+/// `qat.backend.*` namespace attributes Qat instructions to the storage
+/// backend that ran them (the sparse backend's `.materialize` counter
+/// lives with its implementation in the `pbp` crate, hence the
+/// `sparse_re` spelling).
 mod telem {
     use pbp_aob::StorageBackend;
     use tangled_isa::{Insn, KIND_COUNT};
@@ -73,9 +71,6 @@ mod telem {
     pub static FUSED_GATES: Counter = Counter::new("qat.fused.gates");
     pub static PORT_READS: Counter = Counter::new("qat.ports.reads");
     pub static PORT_WRITES: Counter = Counter::new("qat.ports.writes");
-    pub static ENERGY_TOGGLES: Counter = Counter::new("energy.toggles");
-    pub static ENERGY_IMBALANCE: Counter = Counter::new("energy.imbalance");
-    pub static ENERGY_WRITES: Counter = Counter::new("energy.writes");
 
     fn backend_gates_label(i: usize) -> &'static str {
         ["eager.gates", "interned.gates", "sparse_re.gates", "adaptive.gates"][i]
@@ -427,20 +422,14 @@ impl QatCoprocessor {
         }
     }
 
-    /// Charge one instruction's (or one fused run's) register writes to
-    /// the energy meter. Imbalance is the net population change of the
-    /// whole delta, so an instruction that merely re-routes charge between
-    /// its destinations (swap/cswap) nets zero adiabatic imbalance even
-    /// when the individual registers change population.
+    /// Charge one instruction's register writes to the energy meter.
+    /// Imbalance is the net population change of the whole delta, so an
+    /// instruction that merely re-routes charge between its destinations
+    /// (swap/cswap) nets zero adiabatic imbalance even when the individual
+    /// registers change population.
     fn meter_write(&mut self, d: pbp_aob::WriteDelta) {
         if self.config.meter_energy {
-            let imbalance = d.pop_delta.unsigned_abs();
-            self.meter.toggles += d.toggles;
-            self.meter.imbalance += imbalance;
-            self.meter.writes += d.writes;
-            telem::ENERGY_TOGGLES.add(d.toggles);
-            telem::ENERGY_IMBALANCE.add(imbalance);
-            telem::ENERGY_WRITES.add(d.writes);
+            self.meter.add(d);
         }
     }
 
@@ -508,12 +497,13 @@ impl QatCoprocessor {
         Ok(None)
     }
 
-    /// Whether handing this coprocessor fused gate runs is both allowed
-    /// and worthwhile right now. Energy metering forces per-instruction
-    /// execution (imbalance is accounted per instruction), and backends
-    /// without a run cache gain nothing over stepping.
+    /// Whether the register file gains from fused gate runs
+    /// ([`pbp_aob::storage::AobStorage::wants_fusion`]). A machine that
+    /// fuses collects the gates it retires into a pending run and hands it
+    /// to [`QatCoprocessor::execute_run`] when the run ends, so the register
+    /// file lags the retired gates only while a run is pending.
     pub fn fusion_active(&self) -> bool {
-        !self.config.meter_energy && self.file.wants_fusion()
+        self.file.wants_fusion()
     }
 
     /// Promotion and probe counters of the register file (`None` unless
@@ -526,12 +516,15 @@ impl QatCoprocessor {
     /// one storage-layer call ([`AobStorage::gate_run`]).
     ///
     /// Architecturally identical to calling [`QatCoprocessor::execute`] on
-    /// each instruction in order, including the port/telemetry accounting.
-    /// The caller (the machine's peephole pass) must pre-check
-    /// writability: every instruction in the run is validated *before* any
-    /// gate executes, and a fault leaves the file untouched, so runs must
-    /// stop before the first would-faulting insn to preserve partial-state
-    /// fault semantics.
+    /// each instruction in order, including the port/telemetry accounting
+    /// and, with `meter_energy`, the energy meter: a metered run hands the
+    /// file one gate at a time, so imbalance stays per instruction. The
+    /// machine calls this when a pending run ends (its `settle`), so its
+    /// Qat state lags the retired gates only inside a pending run. The
+    /// caller must pre-check writability: every instruction in the run is
+    /// validated *before* any gate executes, and a fault leaves the file
+    /// untouched, so runs must end before the first would-faulting insn to
+    /// preserve partial-state fault semantics.
     pub fn execute_run(&mut self, insns: &[Insn]) -> Result<(), QatError> {
         let mut actions = Vec::with_capacity(insns.len());
         for insn in insns {
@@ -545,8 +538,13 @@ impl QatCoprocessor {
         self.account(insns.iter().zip(&actions).map(|(i, &a)| (i.kind(), Some(a))));
         telem::FUSED_RUNS.inc();
         telem::FUSED_GATES.add(actions.len() as u64);
-        let d = self.file.gate_run(&actions, self.config.meter_energy);
-        self.meter_write(d);
+        if self.config.meter_energy {
+            for &act in &actions {
+                self.meter.add(self.file.apply_action(act, true));
+            }
+        } else {
+            self.file.gate_run(&actions, false);
+        }
         Ok(())
     }
 }
@@ -828,8 +826,9 @@ mod tests {
     }
 
     /// `execute_run` is architecturally identical to stepping, on every
-    /// backend, including the port accounting and the `qat.gate.*` /
-    /// `qat.ports.*` / `qat.backend.*` counters.
+    /// backend, including the port accounting, the `qat.gate.*` /
+    /// `qat.ports.*` / `qat.backend.*` / `energy.*` counters and, when
+    /// metered, the energy meter's per-instruction totals.
     #[test]
     fn execute_run_matches_stepped_execution() {
         use tangled_telemetry::{scoped, set_mode, Mode, Snapshot};
@@ -837,14 +836,19 @@ mod tests {
         let accounting = |snap: &Snapshot| -> Vec<(String, u64)> {
             snap.iter()
                 .filter(|(k, _)| {
-                    ["qat.gate.", "qat.ports.", "qat.backend."].iter().any(|p| k.starts_with(p))
+                    ["qat.gate.", "qat.ports.", "qat.backend.", "energy."]
+                        .iter()
+                        .any(|p| k.starts_with(p))
                 })
                 .map(|(k, v)| (k.to_string(), v))
                 .collect()
         };
-        for entry in backend_registry() {
+        for (entry, meter_energy) in
+            backend_registry().iter().flat_map(|e| [(e, false), (e, true)])
+        {
             let ways = 8.max(entry.min_ways);
-            let mut stepped = QatCoprocessor::new(QatConfig::with_backend(entry.backend, ways));
+            let cfg = QatConfig { meter_energy, ..QatConfig::with_backend(entry.backend, ways) };
+            let mut stepped = QatCoprocessor::new(cfg);
             let mut fused = stepped.clone();
             // Two identical passes: the second drives the interned run
             // cache's replay path.
@@ -861,6 +865,8 @@ mod tests {
                 assert_eq!(stepped.reg(q(r)), fused.reg(q(r)), "{} @{r}", entry.backend);
             }
             assert_eq!(stepped.ports, fused.ports, "{}", entry.backend);
+            assert_eq!(stepped.meter, fused.meter, "{} metered {meter_energy}", entry.backend);
+            assert_eq!(stepped.meter.writes > 0, meter_energy, "{}", entry.backend);
             assert_eq!(accounting(&stepped_snap), accounting(&fused_snap), "{}", entry.backend);
             let key = format!("qat.backend.{}.gates", entry.backend.name().replace('-', "_"));
             assert_eq!(stepped_snap.get(&key), 2 * fusible_prog().len() as u64, "{key}");
@@ -897,7 +903,10 @@ mod tests {
             meter_energy: true,
             ..QatConfig::with_backend(StorageBackend::Interned, 8)
         });
-        assert!(!metered.fusion_active(), "metering is per-instruction");
+        assert!(
+            metered.fusion_active(),
+            "metering does not change how runs form: execute_run meters per instruction"
+        );
     }
 
     /// The adaptive backend exposes its promotion counters and behaves

@@ -107,28 +107,14 @@ pub struct Machine {
     /// Instructions executed so far.
     pub steps: u64,
     config: MachineConfig,
-    /// Active fused-gate region; see [`FusedRegion`].
-    fused: Option<FusedRegion>,
+    /// Retired gates not yet handed to the coprocessor: the first
+    /// `pending_len` entries; see [`Machine::settle`].
+    pending: [Insn; FUSE_WINDOW],
+    pending_len: usize,
 }
 
-/// A straight-line span of gate instructions whose coprocessor effects
-/// were applied by one `execute_run` call. While the PC walks `[start,
-/// end)`, `step` replays the cached decodes (fetch/decode once is the
-/// dispatcher-side half of the fusion win) and skips the per-gate
-/// coprocessor dispatch.
-#[derive(Debug, Clone)]
-struct FusedRegion {
-    start: u16,
-    end: u16,
-    /// `(pc, insn, words)` per gate, in address order.
-    insns: Vec<(u16, Insn, u16)>,
-    /// Cursor into `insns`; in-region flow is sequential (gates never
-    /// branch), so this only needs resyncing defensively.
-    idx: usize,
-}
-
-/// Longest straight-line gate run the peephole will hand to the
-/// coprocessor in one `execute_run` call.
+/// Longest run of consecutive gates the machine hands to the coprocessor
+/// in one `execute_run` call.
 const FUSE_WINDOW: usize = 32;
 
 impl Machine {
@@ -143,7 +129,8 @@ impl Machine {
             output: Vec::new(),
             steps: 0,
             config,
-            fused: None,
+            pending: [Insn::Sys; FUSE_WINDOW],
+            pending_len: 0,
         }
     }
 
@@ -185,59 +172,36 @@ impl Machine {
         decode(&self.mem[pc..hi]).map_err(|err| SimError::Decode { pc: self.pc, err })
     }
 
-    /// Collect the straight-line run of fusible gate instructions starting
-    /// at `pc`. Stops at the first non-gate instruction, decode failure, or
-    /// gate that would fault on a reserved constant register — the latter
-    /// so a faulting gate is always executed by the normal per-instruction
-    /// path and reports its own PC with exactly the pre-fault state.
-    fn scan_fusible_run(&self, pc: u16) -> (Vec<(u16, Insn, u16)>, u16) {
-        let mut run = Vec::new();
-        let mut addr = pc;
-        let reserved = self.config.qat.reserved_regs();
-        while run.len() < FUSE_WINDOW {
-            let a = addr as usize;
-            let hi = (a + 2).min(self.mem.len());
-            let Ok((insn, words)) = decode(&self.mem[a..hi]) else { break };
-            let Some(act) = qat_coproc::gate_action(&insn) else { break };
-            let (dests, nd) = act.dests();
-            if dests[..nd].iter().any(|&d| d < reserved) {
-                break;
-            }
-            run.push((addr, insn, words));
-            let next = addr.wrapping_add(words);
-            if next <= addr {
-                break; // wrapped around the address space
-            }
-            addr = next;
-        }
-        (run, addr)
-    }
-
-    /// The cached decode for the current PC when it sits inside the active
-    /// fused region, advancing the region cursor.
-    fn fused_insn(&mut self) -> Option<(Insn, u16)> {
-        let pc = self.pc;
-        let f = self.fused.as_mut()?;
-        if pc < f.start || pc >= f.end {
-            return None;
-        }
-        if f.insns.get(f.idx).map(|e| e.0) != Some(pc) {
-            f.idx = f.insns.iter().position(|e| e.0 == pc)?;
-        }
-        let &(_, insn, words) = &f.insns[f.idx];
-        f.idx += 1;
-        Some((insn, words))
+    /// Hand the pending gate run to the coprocessor (`execute_run`, or
+    /// `execute` for a run of one); a no-op when nothing is pending.
+    /// `step` settles wherever a run ends, so only a caller that reads Qat
+    /// state between two gates of one run, such as a debugger stopped
+    /// mid-run, needs to call this.
+    pub fn settle(&mut self) {
+        let run = &self.pending[..self.pending_len];
+        self.pending_len = 0;
+        let done = match run {
+            [] => return,
+            [insn] => self.qat.execute(*insn, 0).map(drop),
+            _ => self.qat.execute_run(run),
+        };
+        done.expect("pending gates were checked writable as they retired");
     }
 
     /// Execute one instruction (the Figure 6 single-cycle semantics).
+    ///
+    /// With a fusing register file ([`QatCoprocessor::fusion_active`]) a
+    /// retiring gate joins a pending run, which `step` settles at the next
+    /// non-gate instruction, at 32 gates, before a gate that would write a
+    /// reserved constant register and before returning any error. Host
+    /// state and step events are exact after every step; the Qat register
+    /// file lags only inside a pending run.
     pub fn step(&mut self) -> Result<StepEvent, SimError> {
         if self.steps >= self.config.max_steps {
+            self.settle();
             return Err(SimError::StepLimit);
         }
-        let (in_fused, (insn, words)) = match self.fused_insn() {
-            Some(iw) => (true, iw),
-            None => (false, self.peek()?),
-        };
+        let (insn, words) = self.peek().inspect_err(|_| self.settle())?;
         let pc = self.pc;
         let fallthrough = pc.wrapping_add(words);
         let mut next_pc = fallthrough;
@@ -245,27 +209,22 @@ impl Machine {
         let mut halted = false;
 
         if insn.is_qat() {
-            if in_fused {
-                // This gate's coprocessor effect was already applied by the
-                // fused run that started this region; only control flow and
-                // per-step accounting remain.
-            } else if self.qat.fusion_active() && qat_coproc::gate_action(&insn).is_some() {
-                let (fused_run, end) = self.scan_fusible_run(pc);
-                if fused_run.len() >= 2 {
-                    let insns: Vec<Insn> = fused_run.iter().map(|e| e.1).collect();
-                    self.qat
-                        .execute_run(&insns)
-                        .map_err(|err| SimError::Qat { pc, err })?;
-                    // The current instruction is insns[0]; the cursor
-                    // starts past it.
-                    self.fused =
-                        Some(FusedRegion { start: pc, end, insns: fused_run, idx: 1 });
-                } else {
-                    self.qat
-                        .execute(insn, 0)
-                        .map_err(|err| SimError::Qat { pc, err })?;
+            // A gate that would write a reserved constant register runs
+            // alone, so it faults at its own PC with every earlier gate
+            // applied.
+            let reserved = self.config.qat.reserved_regs();
+            let fusible = qat_coproc::gate_action(&insn).is_some_and(|act| {
+                let (dests, nd) = act.dests();
+                dests[..nd].iter().all(|&d| d >= reserved)
+            });
+            if fusible && self.qat.fusion_active() {
+                self.pending[self.pending_len] = insn;
+                self.pending_len += 1;
+                if self.pending_len == FUSE_WINDOW {
+                    self.settle();
                 }
             } else {
+                self.settle();
                 // Tight coupling: meas/next/pop carry a Tangled register
                 // value into the coprocessor and a result back.
                 let d_in = match insn {
@@ -283,6 +242,9 @@ impl Machine {
                 }
             }
         } else {
+            if self.pending_len > 0 {
+                self.settle();
+            }
             match insn {
                 Insn::Add { d, s } => {
                     let v = self.reg(d).wrapping_add(self.reg(s));
@@ -412,11 +374,6 @@ impl Machine {
         }
 
         self.pc = next_pc;
-        if let Some(f) = &self.fused {
-            if next_pc < f.start || next_pc >= f.end {
-                self.fused = None;
-            }
-        }
         self.steps += 1;
         crate::telem::RETIRED.add(insn.kind(), 1);
         crate::telem::INSNS.inc();
@@ -597,7 +554,7 @@ mod tests {
 
     #[test]
     fn fused_fault_reports_gate_pc_and_preserves_state() {
-        // The scan stops before any gate that would write a reserved
+        // A pending run ends before any gate that would write a reserved
         // constant register, so the faulting gate runs on the per-gate
         // path: same faulting PC and same pre-fault state as the eager
         // backend, which never fuses.

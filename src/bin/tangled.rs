@@ -683,7 +683,11 @@ impl Debugger {
                 println!("pc={:04x} halted={}", self.machine.pc, self.machine.halted);
             }
             Some("q") => match parts.next().and_then(|t| t.parse::<u8>().ok()) {
-                Some(n) => println!("@{n}: {}", describe_qreg(self.machine.qat.storage(), n)),
+                Some(n) => {
+                    // A stop inside a gate run leaves the run pending.
+                    self.machine.settle();
+                    println!("@{n}: {}", describe_qreg(self.machine.qat.storage(), n))
+                }
                 None => println!("usage: q <0..255>"),
             },
             Some("m") | Some("mem") => match parts.next().map(parse_addr) {

@@ -275,6 +275,21 @@ fn debugger_inspects_a_32_way_register() {
     assert!(text.contains("@2: 32-way, pop 1073741824 / 4294967296"), "{text}");
 }
 
+/// `q <n>` shows the register as of the last retired instruction, even
+/// when the debugger stops inside a fused gate run: `and @2,@0,@1` has not
+/// run after one step, and has after three.
+#[test]
+fn debugger_shows_qat_state_as_of_the_retired_gate() {
+    let out = debug_session("factor15.s", "8", b"s 1\nq 2\ns 2\nq 2\nquit\n");
+    let (text, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(out.status.success(), "{stderr}");
+    let shown: Vec<&str> = text.lines().filter(|l| l.starts_with("@2: ")).collect();
+    assert_eq!(shown.len(), 2, "{text}");
+    assert!(shown[0].starts_with("@2: 8-way, pop 0 / 256,"), "{text}");
+    assert!(shown[1].starts_with("@2: 8-way, pop 64 / 256,"), "{text}");
+}
+
 #[test]
 fn verilog_export() {
     let (v, _, ok) = tangled(&["verilog", "15"]);

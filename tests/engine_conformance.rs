@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 use tangled_qat::asm;
 use tangled_qat::qat::{self, QatConfig, StorageBackend};
 use tangled_qat::runner;
-use tangled_qat::sim::difftest::{capture, compare_all};
+use tangled_qat::sim::difftest::{capture, compare_all, DiffConfig};
 use tangled_qat::sim::{model_registry, Machine, MachineConfig, ModelRole, Outcome};
 
 fn corpus_dir() -> PathBuf {
@@ -260,5 +260,20 @@ fn factoring_demo_runs_on_adaptive_backend() {
         assert_eq!(printed.join(" "), "5 3", "adaptive at {ways} ways");
         let stats = m.qat.adaptive_stats().expect("adaptive backend reports stats");
         assert!(stats.gates > 0, "adaptive at {ways} ways observed no gates");
+    }
+}
+
+/// A step budget that ends inside a fused gate run leaves exactly the
+/// gates that retired applied: the fusing default backend agrees with the
+/// stepped oracles (timing models and the other backends) at every limit
+/// across Figure 10's gate runs, host tail and halt.
+#[test]
+fn step_limits_inside_gate_runs_agree_with_stepped_oracles() {
+    let words = factor15_words();
+    for max_steps in 1..=100 {
+        let cfg = DiffConfig { ways: 8, max_steps, ..DiffConfig::default() };
+        if let Err(d) = compare_all(&words, &cfg, None) {
+            panic!("max_steps {max_steps}: {d}");
+        }
     }
 }
