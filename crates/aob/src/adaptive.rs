@@ -7,27 +7,28 @@
 //! (`factor221`: straight-line arithmetic pays content-hash + probe
 //! overhead for nothing). Which regime a program is
 //! in is a runtime property, so [`AdaptiveFile`] measures instead of
-//! guessing:
+//! guessing. The file is in one of two states:
 //!
-//! * It starts as a plain [`EagerFile`], whose registers hold no words
-//!   until first used, and runs a cheap **shadow probe** on every gate,
+//! * **Eager**: a plain [`EagerFile`], whose registers hold no words
+//!   until first used, plus a cheap **shadow probe** on every gate,
 //!   beside the strip kernels: every register carries a 64-bit
 //!   fingerprint, every gate derives an operation fingerprint from its
 //!   operands' fingerprints, and a capped set of seen fingerprints
 //!   predicts what an op cache's hit rate *would have been*.
-//! * When a 128-gate window's predicted hit rate crosses the promotion
-//!   threshold, the file moves the registers the program has used into an
-//!   [`InternedFile`] (the rest stay at the zero chunk), drops the probe,
-//!   and delegates from then on — now with real memoized kernels.
-//!   Promotion is one-way: a promoted file's only per-gate work of its own
-//!   is counting the gate.
+//! * **Delegating**: one boxed [`AobStorage`] that takes every call.
+//!   When a 128-gate window's predicted hit rate crosses the promotion
+//!   threshold, the eager file moves the registers the program has used
+//!   into an [`InternedFile`] (the rest stay at the zero chunk), drops the
+//!   probe, and delegates to it from then on — now with real memoized
+//!   kernels. Promotion is one-way: a promoted file's only per-gate work
+//!   of its own is counting the gate.
 //!
 //! Past the hardware's capability bound
 //! ([`HW_MAX_WAYS`](crate::storage::HW_MAX_WAYS) ways) an explicit
 //! `InternedFile` is the wrong promotion target (chunks get huge);
-//! [`AdaptiveFile::pinned`] wraps a caller-supplied inner file (the qat
-//! registry passes the pbp sparse-re backend) and becomes pure delegation
-//! under the `adaptive` name.
+//! [`AdaptiveFile::pinned`] starts delegating to a caller-supplied file
+//! (the qat registry passes the pbp sparse-re backend) under the
+//! `adaptive` name.
 //!
 //! Promotion decisions are a pure function of the executed gate sequence,
 //! so replays are deterministic — pinned by the corpus-replay suite.
@@ -107,10 +108,9 @@ struct Probing {
 enum Inner {
     /// Eager and probing, until promotion.
     Eager(Box<Probing>),
-    /// The promoted interning file.
-    Interned(InternedFile),
-    /// A caller-supplied file ([`AdaptiveFile::pinned`]).
-    Fixed(Box<dyn AobStorage>),
+    /// The promoted [`InternedFile`], or the caller's file
+    /// ([`AdaptiveFile::pinned`]).
+    Delegate(Box<dyn AobStorage>),
 }
 
 /// Adaptive register file. See the module docs for the policy.
@@ -150,14 +150,14 @@ impl AdaptiveFile {
     /// externally (sparse-re past `HW_MAX_WAYS`).
     pub fn pinned(inner: Box<dyn AobStorage>) -> Self {
         AdaptiveFile {
-            inner: Inner::Fixed(inner),
+            inner: Inner::Delegate(inner),
             stats: AdaptiveStats::default(),
             warm: None,
         }
     }
 
-    /// True while the file is delegating to an interning representation
-    /// (or to the file [`AdaptiveFile::pinned`] wraps).
+    /// True once the file delegates: after promotion, or from the start
+    /// when [`AdaptiveFile::pinned`].
     pub fn is_promoted(&self) -> bool {
         !matches!(self.inner, Inner::Eager(_))
     }
@@ -165,16 +165,14 @@ impl AdaptiveFile {
     fn file(&self) -> &dyn AobStorage {
         match &self.inner {
             Inner::Eager(p) => &p.file,
-            Inner::Interned(f) => f,
-            Inner::Fixed(f) => f.as_ref(),
+            Inner::Delegate(f) => f.as_ref(),
         }
     }
 
     fn file_mut(&mut self) -> &mut dyn AobStorage {
         match &mut self.inner {
             Inner::Eager(p) => &mut p.file,
-            Inner::Interned(f) => f,
-            Inner::Fixed(f) => f.as_mut(),
+            Inner::Delegate(f) => f.as_mut(),
         }
     }
 
@@ -189,7 +187,7 @@ impl AdaptiveFile {
             to.set_owned(r, v);
         }
         to.reset_stats();
-        self.inner = Inner::Interned(to);
+        self.inner = Inner::Delegate(Box::new(to));
         self.stats.promotions += 1;
         telem::PROMOTIONS.inc();
     }
@@ -344,8 +342,8 @@ impl AobStorage for AdaptiveFile {
     }
 
     fn wants_fusion(&self) -> bool {
-        // Fused runs help in every mode: batched dispatch while eager,
-        // the sequence cache once promoted.
+        // Fused runs help in both states: the strip kernels while eager,
+        // one dispatch per run into the delegate.
         true
     }
 

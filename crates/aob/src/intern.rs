@@ -99,8 +99,7 @@ pub struct InternStats {
     pub chunks: u64,
     /// Operations whose result reused an already-stored chunk instead of
     /// interning a new one: op-cache hits, algebraic shortcuts, and
-    /// `intern` calls that found the value already present. This is the
-    /// "did interning pay for itself" signal the adaptive backend watches.
+    /// `intern` calls that found the value already present.
     pub dedup_hits: u64,
 }
 
@@ -371,9 +370,7 @@ impl ChunkStore {
 
     /// Run `compute` unless `key` is cached; either way return the result
     /// id and account the lookup. A cache hit reuses a stored chunk, so it
-    /// counts toward `dedup_hits` as well as `hits` — previously only the
-    /// (never-taken on the hit path) `intern` dedup bumped that counter,
-    /// which is why benches showed `dedup_hits: 0` at a 0.9998 hit rate.
+    /// counts toward `dedup_hits` as well as `hits`.
     fn cached(&mut self, key: OpKey, compute: impl FnOnce(&Self) -> Aob) -> ChunkId {
         if let Some(&r) = self.ops.get(&key) {
             return self.note_reuse(r);
@@ -389,16 +386,6 @@ impl ChunkStore {
         }
         self.ops.insert(key, r);
         r
-    }
-
-    /// Credit `n` operations answered by a fused-run replay (the storage
-    /// layer hit a whole-sequence cache and skipped `n` per-gate probes).
-    /// Keeps `hits`/`dedup_hits` comparable across fused and unfused runs.
-    pub fn credit_fused(&mut self, n: u64) {
-        self.stats.hits += n;
-        self.stats.dedup_hits += n;
-        telem::HITS.add(n);
-        telem::DEDUP.add(n);
     }
 
     /// Algebraic identity arm of [`ChunkStore::binop`]: when the result is

@@ -276,10 +276,10 @@ pub trait AobStorage: std::fmt::Debug + Send {
 
     /// Execute a straight-line run of Table-3 gates ([`GateAction`]
     /// documents each one's semantics), bit-for-bit as if each ran alone
-    /// in order. The trait's only mutating gate entry: interning backends
-    /// replay whole runs from a sequence cache, the eager file runs them
-    /// through its strip kernels. With `meter`, the delta sums every
-    /// gate's writes.
+    /// in order. The trait's only mutating gate entry: the eager file runs
+    /// the whole run through its strip kernels, the other files loop over
+    /// their per-gate kernels (the interned file's memoized by its op
+    /// cache). With `meter`, the delta sums every gate's writes.
     fn gate_run(&mut self, actions: &[GateAction], meter: bool) -> WriteDelta;
 
     /// Execute one gate: a run of one.
@@ -287,8 +287,9 @@ pub trait AobStorage: std::fmt::Debug + Send {
         self.gate_run(&[act], meter)
     }
 
-    /// Whether handing this backend fused runs pays, i.e.
-    /// [`AobStorage::gate_run`] does better on a run than gate by gate.
+    /// Whether handing this backend fused runs pays: one
+    /// [`AobStorage::gate_run`] call and one accounting pass per run
+    /// instead of per gate.
     fn wants_fusion(&self) -> bool {
         false
     }
@@ -716,28 +717,11 @@ impl AobStorage for EagerFile {
 // Interned: hash-consed chunk ids, memoized gates, copy-on-write.
 // ---------------------------------------------------------------------------
 
-/// A fused-run cache key: the exact gate sequence plus the ids of every
-/// register the run reads before writing. Chunk ids name values
-/// canonically within one store, so equal keys guarantee equal outputs —
-/// replaying the recorded writes is exact.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct RunKey {
-    actions: Vec<GateAction>,
-    inputs: Vec<ChunkId>,
-}
-
-/// Entries kept in the fused-run cache before a full sweep.
-const RUN_CACHE_CAPACITY: usize = 1 << 12;
-
 /// Register file of [`ChunkId`]s into a private hash-consed [`ChunkStore`].
 #[derive(Debug, Clone)]
 pub struct InternedFile {
     store: ChunkStore,
     ids: Vec<ChunkId>,
-    /// Whole-run memoization: a repeated gate sequence over the same input
-    /// ids (e.g. a loop body) replays its recorded writes with **zero**
-    /// per-gate op-cache probes.
-    runs: crate::intern::FastMap<RunKey, Vec<(u8, ChunkId)>>,
 }
 
 impl InternedFile {
@@ -770,7 +754,7 @@ impl InternedFile {
                 ids[(2 + k) as usize] = store.id_hadamard(k);
             }
         }
-        InternedFile { store, ids, runs: crate::intern::FastMap::default() }
+        InternedFile { store, ids }
     }
 
     /// [`InternedFile::with_store`] over the resolved warm snapshot for
@@ -880,56 +864,11 @@ impl AobStorage for InternedFile {
     }
 
     fn gate_run(&mut self, actions: &[GateAction], meter: bool) -> WriteDelta {
-        // Metered runs need per-gate deltas (intermediate overwrites
-        // contribute toggles a replay cannot reconstruct), and runs of one
-        // gate gain nothing over the plain path.
-        if meter || actions.len() < 2 {
-            let mut d = WriteDelta::default();
-            for &a in actions {
-                d.merge(self.gate(a, meter));
-            }
-            return d;
-        }
-        // The run's inputs: the current id of every register read before
-        // the run writes it. Registers first written inside the run are
-        // internal and don't key the cache.
-        let mut written = [false; REG_COUNT];
-        let mut recorded = [false; REG_COUNT];
-        let mut inputs = Vec::new();
-        for act in actions {
-            let (srcs, ns) = act.srcs();
-            for &r in &srcs[..ns] {
-                let r = r as usize;
-                if !written[r] && !recorded[r] {
-                    recorded[r] = true;
-                    inputs.push(self.ids[r]);
-                }
-            }
-            let (dsts, nd) = act.dests();
-            for &r in &dsts[..nd] {
-                written[r as usize] = true;
-            }
-        }
-        let key = RunKey { actions: actions.to_vec(), inputs };
-        if let Some(writes) = self.runs.get(&key) {
-            for &(r, id) in writes {
-                self.ids[r as usize] = id;
-            }
-            self.store.credit_fused(actions.len() as u64);
-            return WriteDelta::default();
-        }
+        let mut d = WriteDelta::default();
         for &a in actions {
-            self.gate(a, false);
+            d.merge(self.gate(a, meter));
         }
-        let writes: Vec<(u8, ChunkId)> = (0..REG_COUNT)
-            .filter(|&r| written[r])
-            .map(|r| (r as u8, self.ids[r]))
-            .collect();
-        if self.runs.len() >= RUN_CACHE_CAPACITY {
-            self.runs.clear();
-        }
-        self.runs.insert(key, writes);
-        WriteDelta::default()
+        d
     }
 
     fn wants_fusion(&self) -> bool {
@@ -1118,16 +1057,11 @@ mod tests {
         f.gate_run(&actions, false);
         let after_first = f.intern_stats().unwrap();
         let snap: Vec<Aob> = (0..8).map(|r| f.read(r)).collect();
-        // Rerun over the same inputs: the run cache replays without any
-        // op-cache lookups (misses frozen, all actions credited as dedup).
+        // Rerun over the same inputs: every gate's op-cache probe hits, so
+        // no kernel runs (misses frozen).
         f.gate_run(&actions, false);
         let after_second = f.intern_stats().unwrap();
         assert_eq!(after_second.misses, after_first.misses, "replay never computes");
-        assert_eq!(
-            after_second.dedup_hits,
-            after_first.dedup_hits + actions.len() as u64,
-            "every fused gate is credited as a dedup hit"
-        );
         for (r, v) in snap.iter().enumerate() {
             assert_eq!(f.read(r), *v, "replay reproduces the run's writes @{r}");
         }

@@ -826,9 +826,10 @@ mod tests {
     }
 
     /// `execute_run` is architecturally identical to stepping, on every
-    /// backend, including the port accounting, the `qat.gate.*` /
-    /// `qat.ports.*` / `qat.backend.*` / `energy.*` counters and, when
-    /// metered, the energy meter's per-instruction totals.
+    /// backend, including the port accounting, the op-cache stats, the
+    /// `qat.gate.*` / `qat.ports.*` / `qat.backend.*` / `intern.*` /
+    /// `energy.*` counters and, when metered, the energy meter's
+    /// per-instruction totals.
     #[test]
     fn execute_run_matches_stepped_execution() {
         use tangled_telemetry::{scoped, set_mode, Mode, Snapshot};
@@ -836,7 +837,7 @@ mod tests {
         let accounting = |snap: &Snapshot| -> Vec<(String, u64)> {
             snap.iter()
                 .filter(|(k, _)| {
-                    ["qat.gate.", "qat.ports.", "qat.backend.", "energy."]
+                    ["qat.gate.", "qat.ports.", "qat.backend.", "intern.", "energy."]
                         .iter()
                         .any(|p| k.starts_with(p))
                 })
@@ -850,8 +851,8 @@ mod tests {
             let cfg = QatConfig { meter_energy, ..QatConfig::with_backend(entry.backend, ways) };
             let mut stepped = QatCoprocessor::new(cfg);
             let mut fused = stepped.clone();
-            // Two identical passes: the second drives the interned run
-            // cache's replay path.
+            // Two identical passes: the second answers every interned gate
+            // from the op cache.
             let ((), stepped_snap) = scoped(|| {
                 for insn in fusible_prog().iter().chain(&fusible_prog()) {
                     stepped.execute(*insn, 0).unwrap();
@@ -867,6 +868,7 @@ mod tests {
             assert_eq!(stepped.ports, fused.ports, "{}", entry.backend);
             assert_eq!(stepped.meter, fused.meter, "{} metered {meter_energy}", entry.backend);
             assert_eq!(stepped.meter.writes > 0, meter_energy, "{}", entry.backend);
+            assert_eq!(stepped.intern_stats(), fused.intern_stats(), "{}", entry.backend);
             assert_eq!(accounting(&stepped_snap), accounting(&fused_snap), "{}", entry.backend);
             let key = format!("qat.backend.{}.gates", entry.backend.name().replace('-', "_"));
             assert_eq!(stepped_snap.get(&key), 2 * fusible_prog().len() as u64, "{key}");

@@ -61,7 +61,7 @@ pub struct Outcome {
     pub fault: Option<SimError>,
     /// The 0x4000 data page, word for word.
     pub data_page: Vec<u16>,
-    /// FNV-1a hash over all 64K memory words (catches stray stores).
+    /// Hash of all 64K memory words (catches stray stores).
     pub mem_hash: u64,
     /// All 256 Qat AoB registers.
     pub qat_regs: Vec<Aob>,
@@ -120,13 +120,16 @@ impl DiffConfig {
     }
 }
 
-fn fnv1a_words(words: &[u16]) -> u64 {
+/// FNV-1a's xor-and-multiply step over groups of four words (the last
+/// group may be shorter), with a rotation after each multiply so that a
+/// difference in a group's high bits still spreads through later steps.
+/// Each step is a bijection of the running hash for a fixed group, so two
+/// inputs that differ within one group always hash differently.
+fn hash_words(words: &[u16]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
-    for &w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+    for group in words.chunks(4) {
+        let x = group.iter().rev().fold(0u64, |x, &w| x << 16 | w as u64);
+        h = (h ^ x).wrapping_mul(0x100000001b3).rotate_left(32);
     }
     h
 }
@@ -142,7 +145,7 @@ pub fn capture(m: &Machine, fault: Option<SimError>) -> Outcome {
         output: m.output.clone(),
         fault,
         data_page: m.mem[page..page + DATA_PAGE_WORDS].to_vec(),
-        mem_hash: fnv1a_words(&m.mem),
+        mem_hash: hash_words(&m.mem),
         qat_regs: (0..=255u8).map(|q| m.qat.reg(QReg(q))).collect(),
     }
 }

@@ -35,10 +35,8 @@ use tangled_qat::isa::{disassemble, Insn};
 use tangled_qat::qat::{QatConfig, StorageBackend};
 use tangled_qat::runner;
 use tangled_qat::serve::{JobError, JobKind, JobResult, JobSpec, Pool, ServeConfig};
-use tangled_qat::sim::difftest::{
-    diff_outcomes, run_forwarding_bug, run_functional, DiffConfig,
-};
-use tangled_qat::sim::proggen::{encode_program, random_program, ProgGenOptions, Profile};
+use tangled_qat::sim::difftest::{forwarding_bug_diverges, DiffConfig};
+use tangled_qat::sim::proggen::{random_program, ProgGenOptions, Profile};
 use tangled_qat::sim::{shrink, Coverage};
 use tangled_qat::telemetry::{self, export};
 
@@ -283,13 +281,7 @@ fn injected_bug_run(args: &Args) -> ExitCode {
         backend: args.backend,
         ..Default::default()
     };
-    let diverges = |p: &[Insn]| {
-        let words = encode_program(p);
-        let mc = cfg.machine_config();
-        let reference = run_functional(&words, mc, None);
-        let buggy = run_forwarding_bug(&words, mc);
-        diff_outcomes("forwarding-bug", &reference, &buggy).is_some()
-    };
+    let diverges = |p: &[Insn]| forwarding_bug_diverges(p, &cfg);
     for seed in args.start_seed..args.start_seed + args.seeds {
         let opts = ProgGenOptions {
             len: args.len,

@@ -9,8 +9,8 @@
 
 use tangled_qat::qat::StorageBackend;
 use tangled_qat::sim::difftest::{
-    compare_all, diff_outcomes, forwarding_bug_diverges, run_forwarding_bug, run_functional,
-    DiffConfig,
+    capture, compare_all, diff_outcomes, forwarding_bug_diverges, run_forwarding_bug,
+    run_functional, DiffConfig,
 };
 use tangled_qat::sim::proggen::{encode_program, random_program, ProgGenOptions, Profile};
 use tangled_qat::sim::{shrink, Coverage, Machine};
@@ -131,4 +131,29 @@ fn broken_oracle_is_caught_and_shrinks_small() {
         }
     }
     assert!(caught >= 4, "forwarding bug caught only {caught} times in 64 seeds");
+}
+
+/// Stray stores outside the data page still diverge, as `mem_hash`: one
+/// differing word in each position of one four-word hash group and in the
+/// last word of memory, with its low or its high bit set, and the high bit
+/// of the same position in two groups (which a plain xor-multiply over
+/// 64-bit groups cancels).
+#[test]
+fn stray_memory_words_diverge_as_mem_hash() {
+    let mc = DiffConfig::default().machine_config();
+    let reference = capture(&Machine::new(mc), None);
+    let mut strays = vec![vec![(0x8003usize, 0x8000u16), (0x9003, 0x8000)]];
+    for addr in [0x8000, 0x8001, 0x8002, 0x8003, 0xFFFF] {
+        strays.push(vec![(addr, 0x0001)]);
+        strays.push(vec![(addr, 0x8000)]);
+    }
+    for stores in strays {
+        let mut m = Machine::new(mc);
+        for &(addr, value) in &stores {
+            m.mem[addr] = value;
+        }
+        let d = diff_outcomes("stray-store", &reference, &capture(&m, None))
+            .unwrap_or_else(|| panic!("{stores:x?} not seen"));
+        assert_eq!(d.field, "mem_hash", "{stores:x?}: {d}");
+    }
 }
